@@ -49,7 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.core import WrapPolicy, format_run_provenance, render_bars
 from repro.core.instrument import InstrumentorError
@@ -88,24 +88,51 @@ def _cmd_apps(args: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The campaign-engine flags ``detect``, ``shard`` and ``chaos`` share."""
+    return {
+        "stride": args.stride,
+        "timeout": args.timeout,
+        "retries": args.retries,
+        "state_backend": args.state_backend,
+        "static_prune": args.static_prune,
+        "trace_derive": args.trace_derive,
+        "instrumentor": args.instrumentor,
+    }
+
+
+def _print_campaign(
+    report, detection, classification, save_log: Optional[str], to_wrap=None
+) -> None:
+    """The classification listing ``detect`` and ``merge`` print."""
+    print(format_run_provenance(classification))
+    print(render_bars(report.fractions_by_methods()))
+    print()
+    for key in sorted(classification.methods):
+        mc = classification.methods[key]
+        print(f"  {mc.category:12s} {key}  (calls={mc.calls})")
+    if to_wrap is not None:
+        print(f"\nmethods the masking phase would wrap: {to_wrap}")
+    if detection.telemetry is not None:
+        print("\n-- campaign telemetry --")
+        print(detection.telemetry.summary())
+    if save_log:
+        detection.log.save(save_log)
+        print(f"run log written to {save_log}")
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.experiments import program_by_name, run_app_campaign
 
     policy = load_policy(args.policy)
     outcome = run_app_campaign(
         program_by_name(args.app),
-        stride=args.stride,
         policy=policy,
         scale=args.scale,
         workers=args.workers,
         resume=args.resume,
         journal=args.journal,
-        timeout=args.timeout,
-        retries=args.retries,
-        state_backend=args.state_backend,
-        static_prune=args.static_prune,
-        trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
+        **_engine_options(args),
     )
     report = outcome.report
     print(
@@ -113,22 +140,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         f"{report.method_count} methods, "
         f"{report.injection_count} injections"
     )
-    print(format_run_provenance(outcome.classification))
-    print(render_bars(report.fractions_by_methods()))
-    print()
-    for key in sorted(outcome.classification.methods):
-        mc = outcome.classification.methods[key]
-        print(f"  {mc.category:12s} {key}  (calls={mc.calls})")
     to_wrap = select_methods_to_wrap(
         outcome.classification, policy or WrapPolicy()
     )
-    print(f"\nmethods the masking phase would wrap: {to_wrap}")
-    if outcome.detection.telemetry is not None:
-        print("\n-- campaign telemetry --")
-        print(outcome.detection.telemetry.summary())
-    if args.save_log:
-        outcome.detection.log.save(args.save_log)
-        print(f"run log written to {args.save_log}")
+    _print_campaign(
+        report, outcome.detection, outcome.classification, args.save_log, to_wrap
+    )
     return 0
 
 
@@ -140,14 +157,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         args.index,
         args.count,
         args.fragment,
-        stride=args.stride,
-        timeout=args.timeout,
-        retries=args.retries,
         resume=args.resume,
-        state_backend=args.state_backend,
-        static_prune=args.static_prune,
-        trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
+        **_engine_options(args),
     )
     print(
         f"shard {result.shard_index}/{result.shard_count}: "
@@ -164,7 +175,6 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.core import format_run_provenance, render_bars
     from repro.core.report import build_app_report
     from repro.experiments import merge_fragments
 
@@ -178,18 +188,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         f"{report.class_count} classes, {report.method_count} methods, "
         f"{report.injection_count} injections"
     )
-    print(format_run_provenance(classification))
-    print(render_bars(report.fractions_by_methods()))
-    print()
-    for key in sorted(classification.methods):
-        mc = classification.methods[key]
-        print(f"  {mc.category:12s} {key}  (calls={mc.calls})")
-    if merged.detection.telemetry is not None:
-        print("\n-- campaign telemetry --")
-        print(merged.detection.telemetry.summary())
-    if args.save_log:
-        merged.detection.log.save(args.save_log)
-        print(f"run log written to {args.save_log}")
+    _print_campaign(report, merged.detection, classification, args.save_log)
     return 0
 
 
@@ -229,14 +228,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         shard_count=args.shards,
         supervisor=supervisor,
-        stride=args.stride,
-        timeout=args.timeout,
-        retries=args.retries,
-        state_backend=args.state_backend,
-        static_prune=args.static_prune,
-        trace_derive=args.trace_derive,
-        instrumentor=args.instrumentor,
         hang_seconds=args.hang_seconds,
+        **_engine_options(args),
     )
     print(report.summary())
     if args.report_out:
@@ -685,6 +678,25 @@ def _add_state_backend_flag(parser: argparse.ArgumentParser) -> None:
              "identical logs, faster)")
 
 
+def _add_engine_flags(
+    parser: argparse.ArgumentParser,
+    *,
+    timeout: Optional[float] = None,
+    timeout_help: str = "per-run wall-clock budget in seconds",
+) -> None:
+    """The campaign-engine flags :func:`_engine_options` reads."""
+    parser.add_argument("--stride", type=int, default=1)
+    parser.add_argument(
+        "--timeout", type=float, default=timeout, help=timeout_help)
+    parser.add_argument(
+        "--retries", type=int, default=1,
+        help="retries per timed-out point before marking it crashed")
+    _add_state_backend_flag(parser)
+    _add_static_prune_flag(parser)
+    _add_trace_derive_flag(parser)
+    _add_instrumentor_flag(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -699,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="run one detection campaign")
     detect.add_argument("app", help="application name (see `apps`)")
-    detect.add_argument("--stride", type=int, default=1)
     detect.add_argument("--scale", type=int, default=1,
                         help="workload repetitions (quadratic cost)")
     detect.add_argument("--policy", help="JSON policy file")
@@ -714,16 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--resume", action="store_true",
         help="skip injection points already recorded in the journal")
-    detect.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-run wall-clock budget in seconds (parallel engine)")
-    detect.add_argument(
-        "--retries", type=int, default=1,
-        help="retries per timed-out point before marking it crashed")
-    _add_state_backend_flag(detect)
-    _add_static_prune_flag(detect)
-    _add_trace_derive_flag(detect)
-    _add_instrumentor_flag(detect)
+    _add_engine_flags(
+        detect,
+        timeout_help="per-run wall-clock budget in seconds (parallel engine)",
+    )
     detect.set_defaults(func=_cmd_detect)
 
     shard = sub.add_parser(
@@ -738,20 +743,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total number of shards in the campaign")
     shard.add_argument("--fragment", required=True,
                        help="journal fragment path this shard writes")
-    shard.add_argument("--stride", type=int, default=1)
     shard.add_argument(
         "--resume", action="store_true",
         help="replay an existing fragment and run only unfinished points")
-    shard.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-run wall-clock budget in seconds")
-    shard.add_argument(
-        "--retries", type=int, default=1,
-        help="retries per timed-out point before marking it crashed")
-    _add_state_backend_flag(shard)
-    _add_static_prune_flag(shard)
-    _add_trace_derive_flag(shard)
-    _add_instrumentor_flag(shard)
+    _add_engine_flags(shard)
     shard.set_defaults(func=_cmd_shard)
 
     merge = sub.add_parser(
@@ -808,13 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeds the fault plan and the retry jitter")
     chaos.add_argument("--shards", type=int, default=3,
                        help="shard count for the supervised campaign")
-    chaos.add_argument("--stride", type=int, default=1)
-    chaos.add_argument(
-        "--timeout", type=float, default=0.25,
-        help="per-run wall-clock budget (hung runs blow it and crash)")
-    chaos.add_argument(
-        "--retries", type=int, default=1,
-        help="retries per timed-out point before marking it crashed")
+    _add_engine_flags(
+        chaos,
+        timeout=0.25,
+        timeout_help="per-run wall-clock budget (hung runs blow it and crash)",
+    )
     chaos.add_argument(
         "--hang-seconds", type=float, default=1.0,
         help="how long an injected hang stalls a run")
@@ -832,10 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-out", default=None,
         help="write the full chaos report (plan, fault log, verdict) "
              "as JSON — the reproducer artifact CI uploads on failure")
-    _add_state_backend_flag(chaos)
-    _add_static_prune_flag(chaos)
-    _add_trace_derive_flag(chaos)
-    _add_instrumentor_flag(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
     validate = sub.add_parser(

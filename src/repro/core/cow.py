@@ -30,7 +30,6 @@ __all__ = [
     "push_active_log",
     "remove_write_barrier",
     "failure_atomic_undolog",
-    "make_undolog_atomicity_wrapper",
 ]
 
 _MISSING = object()
@@ -166,24 +165,6 @@ def remove_write_barrier(cls: type) -> None:
     cls.__delattr__ = vars(cls)[_BARRIER_DELATTR]  # type: ignore[method-assign]
     delattr(cls, _BARRIER_ATTR)
     delattr(cls, _BARRIER_DELATTR)
-
-
-def make_undolog_atomicity_wrapper(spec: Any, *, stats: Any = None) -> Callable:
-    """Spec-based atomicity wrapper backed by the undo log.
-
-    Equivalent to
-    ``make_atomicity_wrapper(spec, stats=stats, backend="undolog")`` and
-    kept as a named entry point for the write-barrier strategy.  ``stats``
-    is a :class:`~repro.core.masking.MaskingStats`; the
-    checkpointed-object count is reported as the number of *recorded
-    writes* rolled back — there is no up-front copy to count, which is
-    the strategy's point.
-    """
-    # Lazy import: masking builds on the state layer, which builds on the
-    # UndoLog defined in this module.
-    from .masking import make_atomicity_wrapper
-
-    return make_atomicity_wrapper(spec, stats=stats, backend="undolog")
 
 
 def failure_atomic_undolog(func: Callable) -> Callable:

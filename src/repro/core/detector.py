@@ -6,31 +6,54 @@ injects exactly one exception, at a different point.  The driver first
 performs a *profiling* run (threshold 0, nothing fires) to count the total
 number of potential injection points and to collect per-method call
 counts, then sweeps the threshold over ``1..N``.
+
+This module is the campaign kernel every engine shares (the sequential
+:class:`Detector`, the process pool in :mod:`repro.experiments.parallel`
+and the shard runner in :mod:`repro.experiments.shard`):
+
+* the **plan step** (:meth:`Detector.plan`) profiles once under the
+  static/trace passes and returns the sweep plan with every point the
+  passes decided without execution;
+* the **executor loop** (:meth:`Detector.execute`) takes each point's
+  decided record or runs it under :func:`run_point_with_timeout`, and
+  hands ``(point, record, genuine_failure, attempts)`` to a sink;
+* :func:`campaign_telemetry` builds every engine's telemetry.
 """
 
 from __future__ import annotations
 
+import ctypes
+import signal
+import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Container,
+    Dict,
     Iterable,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     Type,
     runtime_checkable,
 )
 
-from .analyzer import MethodSpec
+from repro.resilience.chaos import fire as _fault_site
+
+from .analyzer import Analyzer, MethodSpec
 from .exceptions import InjectionAbort, is_injected
 from .injection import InjectionCampaign
-from .instrument import Instrumentor, WeavingInstrumentor
+from .instrument import Instrumentor, WeavingInstrumentor, get_instrumentor
 from .runlog import RunLog, RunRecord
-from .state import FingerprintCache, get_backend
-from .staticpass import StaticPruner, call_through_boundary
+from .state import FingerprintCache, StateStats, get_backend
+from .staticpass import PROVENANCE_STATIC, StaticPruner, call_through_boundary
 from .telemetry import CampaignTelemetry
 from .tracepass import TraceDeriver, TraceRecorder
 
@@ -39,8 +62,13 @@ __all__ = [
     "Detector",
     "DetectionResult",
     "DetectionError",
+    "CampaignPlan",
+    "RunTally",
+    "campaign_telemetry",
     "plan_points",
+    "post_async_exc",
     "run_injection_point",
+    "run_point_with_timeout",
 ]
 
 
@@ -194,6 +222,263 @@ def _refine_run(
         campaign.backend = saved_backend
 
 
+# ---------------------------------------------------------------------------
+# Per-run time budgets
+# ---------------------------------------------------------------------------
+
+
+def post_async_exc(ident: int, exc_type: Optional[type]) -> bool:
+    """Raise *exc_type* inside the thread *ident* at its next bytecode
+    boundary — the only portable way to interrupt a running thread.
+
+    ``None`` clears an exception that was posted but not yet delivered.
+    A post that hit more than one thread state is undone.  Returns
+    whether exactly one thread was affected.
+    """
+    set_async_exc = ctypes.pythonapi.PyThreadState_SetAsyncExc
+    posted = set_async_exc(
+        ctypes.c_ulong(ident),
+        ctypes.py_object(exc_type) if exc_type is not None else None,
+    )
+    if posted > 1:  # hit more than one thread state: undo, do no harm
+        set_async_exc(ctypes.c_ulong(ident), None)
+        return False
+    return posted == 1
+
+
+class _RunTimeout(BaseException):
+    """Raised by the SIGALRM handler when a run exceeds its budget.
+
+    Derives from ``BaseException`` so application-level ``except
+    Exception`` blocks inside the workload cannot swallow it.
+    """
+
+
+def _alarm_handler(signum, frame):
+    raise _RunTimeout()
+
+
+class _TimeoutGuard:
+    """Arms a per-run wall-clock budget around one subject execution.
+
+    On the main thread this is the classic ``SIGALRM`` + ``setitimer``
+    pair.  ``signal.signal`` raises ``ValueError`` anywhere else — e.g.
+    when the engine is driven from a ``repro serve`` worker thread — so
+    off the main thread the guard falls back to a watchdog timer that
+    posts :class:`_RunTimeout` into the running thread as an async
+    exception.  The watchdog cannot preempt a call blocked in C (the
+    exception is delivered at the next bytecode boundary), so a stalled
+    run is detected late rather than interrupted instantly; the budget
+    is still enforced and the point still crashes after its retries.
+    """
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+        self._thread_id = threading.get_ident()
+        self._use_alarm = (
+            hasattr(signal, "setitimer")
+            and threading.current_thread() is threading.main_thread()
+        )
+        self._previous_handler: Any = None
+        self._timer: Optional[threading.Timer] = None
+        self._fired = False
+
+    def _fire(self) -> None:
+        self._fired = True
+        post_async_exc(self._thread_id, _RunTimeout)
+
+    def __enter__(self) -> "_TimeoutGuard":
+        if self._use_alarm:
+            try:
+                self._previous_handler = signal.signal(
+                    signal.SIGALRM, _alarm_handler
+                )
+                signal.setitimer(signal.ITIMER_REAL, self.seconds)
+                return self
+            except ValueError:
+                # Lost a race against an interpreter that still considers
+                # this a non-main thread (e.g. right after a fork from a
+                # threaded parent): fall through to the watchdog.
+                self._use_alarm = False
+        self._timer = threading.Timer(self.seconds, self._fire)
+        self._timer.daemon = True
+        self._timer.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._use_alarm:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, self._previous_handler)
+            return
+        assert self._timer is not None
+        self._timer.cancel()
+        if exc_type is not _RunTimeout:
+            # Wait the timer thread out so a concurrent _fire cannot post
+            # after this guard is gone, then clear any pending async raise
+            # the run outlived (it must not surface in later code).
+            self._timer.join()
+            if self._fired:
+                post_async_exc(self._thread_id, None)
+
+
+def run_point_with_timeout(
+    program: Program,
+    campaign: InjectionCampaign,
+    point: int,
+    *,
+    timeout: Optional[float] = None,
+    retries: int = 0,
+) -> Tuple[RunRecord, Optional[str], int, bool]:
+    """Execute one injection point under an optional wall-clock budget.
+
+    The single-point step of the executor loop: retries a timed-out run
+    up to *retries* times, then marks the point crashed.  Returns
+    ``(record, genuine_failure, attempts, crashed)``.  Works from any
+    thread — see :class:`_TimeoutGuard` for the main-thread (SIGALRM)
+    vs. worker-thread (watchdog) budget enforcement.
+    """
+    attempts = 0
+    while True:
+        attempts += 1
+        guard = _TimeoutGuard(timeout) if timeout is not None else nullcontext()
+        try:
+            with guard:
+                # Chaos seam: an armed hang fault sleeps here, inside
+                # the watchdog's budget window, so "a run that stopped
+                # making progress" exercises the timeout/retry path.
+                _fault_site("run.exec")
+                record, failure = run_injection_point(
+                    program,
+                    campaign,
+                    point,
+                    reraise=(_RunTimeout,),
+                )
+            return record, failure, attempts, False
+        except _RunTimeout:
+            # Drop the partial record the aborted run left in the log.
+            runs = campaign.log.runs
+            if runs and runs[-1].injection_point == point:
+                runs.pop()
+            if attempts > retries:
+                return (
+                    RunRecord(injection_point=point, crashed=True),
+                    None,
+                    attempts,
+                    True,
+                )
+
+
+# ---------------------------------------------------------------------------
+# The campaign kernel: plan, execute, report
+# ---------------------------------------------------------------------------
+
+#: Receives every point the executor loop handled:
+#: ``(point, record, genuine_failure, attempts)``; ``attempts == 0``
+#: marks a record decided without execution.
+RunSink = Callable[[int, RunRecord, Optional[str], int], None]
+
+
+@dataclass
+class RunTally:
+    """How the points an engine handled turned out."""
+
+    executed: int = 0
+    pruned: int = 0
+    derived: int = 0
+    crashed: int = 0
+    retries: int = 0
+
+    def add(self, record: RunRecord, attempts: int) -> None:
+        """Count one point; ``attempts == 0`` marks a decided record."""
+        if attempts == 0:
+            if record.provenance == PROVENANCE_STATIC:
+                self.pruned += 1
+            else:
+                self.derived += 1
+            return
+        self.executed += 1
+        self.retries += attempts - 1
+        if record.crashed:
+            self.crashed += 1
+
+
+@dataclass
+class CampaignPlan:
+    """What the plan step learned from the one profiling run.
+
+    ``points`` is the ordered sweep (:func:`plan_points`); ``decided``
+    maps the points the static/trace passes decided without execution
+    to their records.  The passes themselves are kept for telemetry.
+    """
+
+    total_points: int
+    points: List[int]
+    decided: Dict[int, RunRecord]
+    pruner: Optional[StaticPruner] = None
+    deriver: Optional[TraceDeriver] = None
+    recorder: Optional[TraceRecorder] = None
+
+
+def campaign_telemetry(
+    engine: str,
+    tally: RunTally,
+    *,
+    runs_total: int,
+    wall: float,
+    phases: Dict[str, float],
+    plan: Optional[CampaignPlan] = None,
+    state: Optional[StateStats] = None,
+    cache: Optional[Mapping[str, int]] = None,
+    **fields: Any,
+) -> CampaignTelemetry:
+    """Build the telemetry of one detection campaign, for every engine.
+
+    Run counts come from *tally*, the pass counters from *plan*, the
+    state-layer counters from *state* and the digest-cache counters
+    from *cache* (``FingerprintCache.to_dict()`` form); *fields* sets
+    the remaining attributes and overrides any of these.
+    """
+    values: Dict[str, Any] = dict(
+        engine=engine,
+        runs_total=runs_total,
+        runs_executed=tally.executed,
+        runs_pruned=tally.pruned,
+        runs_derived=tally.derived,
+        runs_crashed=tally.crashed,
+        retries=tally.retries,
+        wall_seconds=wall,
+        runs_per_second=(tally.executed / wall) if wall > 0 else 0.0,
+        phase_seconds=phases,
+    )
+    if plan is not None and plan.pruner is not None:
+        values.update(
+            static_pure_methods=plan.pruner.pure_method_count,
+            static_seconds=plan.pruner.seconds,
+        )
+    if plan is not None and plan.deriver is not None:
+        values.update(
+            trace_seconds=plan.deriver.seconds,
+            trace_captures=plan.deriver.stats.captures,
+            trace_capture_retries=plan.deriver.capture_retries,
+        )
+    if plan is not None and plan.recorder is not None:
+        values["trace_writes"] = plan.recorder.recorded_writes
+    if state is not None:
+        values.update(
+            state_captures=state.captures,
+            state_fingerprints=state.fingerprints,
+            state_compares=state.compares,
+            state_seconds=state.seconds,
+        )
+    if cache is not None:
+        values.update(
+            fingerprint_cache_hits=cache.get("hits", 0),
+            fingerprint_cache_misses=cache.get("misses", 0),
+        )
+    values.update(fields)
+    return CampaignTelemetry(**values)
+
+
 class Detector:
     """Runs the injector program once per injection point.
 
@@ -256,8 +541,51 @@ class Detector:
         self.static_prune = static_prune
         self.trace_derive = trace_derive
         self.woven_specs = woven_specs
+        if instrumentor is None:
+            # Observation-only adapter over the campaign's slots; the
+            # program was woven by the caller (any factory), so this
+            # instrumentor never instruments, it only dispatches events.
+            instrumentor = WeavingInstrumentor(campaign)
         self.instrumentor = instrumentor
         self.fingerprint_cache = fingerprint_cache
+
+    @classmethod
+    @contextmanager
+    def woven(
+        cls,
+        program: Any,
+        *,
+        capture_args: bool = True,
+        state_backend: str = "graph",
+        instrumentor: str = "weave",
+        **options: Any,
+    ) -> Iterator["Detector"]:
+        """Weave *program*'s classes into a fresh campaign for the block.
+
+        *program* is an application subject (``name``, ``classes``,
+        ``exclude`` and ``__call__``, like
+        :class:`~repro.experiments.programs.AppProgram`).  Yields a
+        detector over the woven campaign; *options* are the detector's
+        keyword arguments.  The classes are unwoven when the block exits.
+        """
+        campaign = InjectionCampaign(
+            capture_args=capture_args, state_backend=state_backend
+        )
+        engine = get_instrumentor(
+            instrumentor, campaign, analyzer=Analyzer(exclude=program.exclude)
+        )
+        with engine:
+            specs = engine.instrument(program.classes)
+            yield cls(
+                program,
+                campaign,
+                woven_specs=specs,
+                instrumentor=engine,
+                **options,
+            )
+
+    def _woven_classes(self) -> set:
+        return {spec.owner for spec in self.woven_specs or [] if spec.owner}
 
     def profile(self) -> int:
         """Count injection points and record call counts (no injection)."""
@@ -272,6 +600,127 @@ class Detector:
         finally:
             total = self.campaign.end_profile()
         return total
+
+    def plan(
+        self,
+        *,
+        injection_points: Optional[Iterable[int]] = None,
+        baseline_run: bool = True,
+    ) -> CampaignPlan:
+        """The plan step: profile once under the passes, then plan.
+
+        Subscribes the requested static/trace passes to the
+        instrumentor's events, runs :meth:`profile`, and returns the
+        sweep plan together with every point the passes decided without
+        execution.  The arguments are those of :meth:`detect`.
+        """
+        instrumentor = self.instrumentor
+        pruner = StaticPruner(self.woven_specs) if self.static_prune else None
+        deriver: Optional[TraceDeriver] = None
+        recorder: Optional[TraceRecorder] = None
+        observer: Optional[object] = pruner
+        if self.trace_derive:
+            recorder = TraceRecorder()
+            instrumentor.start_write_trace(recorder, self._woven_classes())
+            # The deriver chains the pruner's observations internally,
+            # so composed passes still share one event subscription.
+            deriver = TraceDeriver(
+                self.campaign, pruner=pruner, recorder=recorder
+            )
+            observer = deriver
+        if observer is not None:
+            instrumentor.subscribe(observer)
+            instrumentor.attach()
+        try:
+            total = self.profile()
+        finally:
+            if instrumentor.attached:
+                instrumentor.detach()
+            if observer is not None:
+                instrumentor.unsubscribe(observer)
+            if recorder is not None:
+                instrumentor.stop_write_trace(recorder)
+        decided = dict(deriver.derive_map()) if deriver is not None else {}
+        if pruner is not None:
+            # Statically decided points win the provenance tag; the
+            # records agree modulo provenance whenever both passes
+            # decide a point.
+            decided.update(pruner.prune_map())
+        points = plan_points(
+            total,
+            stride=self.stride,
+            injection_points=injection_points,
+            baseline_run=baseline_run,
+        )
+        return CampaignPlan(total, points, decided, pruner, deriver, recorder)
+
+    @contextmanager
+    def digest_cache(self) -> Iterator[Optional[FingerprintCache]]:
+        """Memoize frame digests across the runs inside the block.
+
+        Active only when enabled, supported by the campaign's backend
+        and not already attached; yields ``None`` otherwise.  The write
+        barriers invalidate on any attribute write to a woven class, so
+        a cached digest is only ever served when it is provably the
+        digest the backend would recompute (bit-identical output).
+        """
+        classes = self._woven_classes()
+        if not (
+            self.fingerprint_cache
+            and classes
+            and self.campaign.digest_cache is None
+            and getattr(self.campaign.backend, "supports_digest_cache", False)
+        ):
+            yield None
+            return
+        cache = FingerprintCache()
+        cache.start(classes)
+        self.campaign.digest_cache = cache
+        try:
+            yield cache
+        finally:
+            self.campaign.digest_cache = None
+            cache.stop()
+
+    def execute(
+        self,
+        points: Sequence[int],
+        decided: Mapping[int, RunRecord],
+        sink: RunSink,
+        *,
+        timeout: Optional[float] = None,
+        retries: int = 0,
+        done: int = 0,
+    ) -> RunTally:
+        """The executor loop: handle *points* in order, feeding *sink*.
+
+        Each point's record is its decided one when the plan has it, or
+        comes from executing the point under :func:`run_point_with_timeout`.
+        *done* points finished earlier (a resume) count towards the
+        ``(done, total)`` progress reported after every point.
+        """
+        total = done + len(points)
+        if self.progress is not None and done:
+            self.progress(done, total)
+        tally = RunTally()
+        for point in points:
+            record = decided.get(point)
+            if record is None:
+                record, failure, attempts, _ = run_point_with_timeout(
+                    self.program,
+                    self.campaign,
+                    point,
+                    timeout=timeout,
+                    retries=retries,
+                )
+            else:
+                failure, attempts = None, 0
+            tally.add(record, attempts)
+            sink(point, record, failure, attempts)
+            done += 1
+            if self.progress is not None:
+                self.progress(done, total)
+        return tally
 
     def detect(
         self,
@@ -294,154 +743,43 @@ class Detector:
                 failures; the baseline run observes them.
         """
         started = time.perf_counter()
-        instrumentor = self.instrumentor
-        if instrumentor is None:
-            # Observation-only adapter over the campaign's slots; the
-            # program was woven by the caller (any factory), so this
-            # instrumentor never instruments, it only dispatches events.
-            instrumentor = WeavingInstrumentor(self.campaign)
-        pruner: Optional[StaticPruner] = None
-        deriver: Optional[TraceDeriver] = None
-        recorder: Optional[TraceRecorder] = None
-        woven_classes = {
-            spec.owner for spec in self.woven_specs or [] if spec.owner
-        }
-        if self.static_prune:
-            pruner = StaticPruner(self.woven_specs)
-        observers: List[object] = []
-        if self.trace_derive:
-            recorder = TraceRecorder()
-            instrumentor.start_write_trace(recorder, woven_classes)
-            deriver = TraceDeriver(
-                self.campaign, pruner=pruner, recorder=recorder
-            )
-            # The deriver chains the pruner's observations internally,
-            # so composed passes still share one event subscription.
-            observers.append(deriver)
-        elif pruner is not None:
-            observers.append(pruner)
-        for observer in observers:
-            instrumentor.subscribe(observer)
-        if observers:
-            instrumentor.attach()
-        try:
-            total = self.profile()
-        finally:
-            if instrumentor.attached:
-                instrumentor.detach()
-            for observer in observers:
-                instrumentor.unsubscribe(observer)
-            if recorder is not None:
-                instrumentor.stop_write_trace(recorder)
-        prune_map = pruner.prune_map() if pruner is not None else {}
-        derive_map = deriver.derive_map() if deriver is not None else {}
-        # Statically decided points win the provenance tag; the records
-        # agree modulo provenance whenever both passes decide a point.
-        decided = dict(derive_map)
-        decided.update(prune_map)
+        plan = self.plan(
+            injection_points=injection_points, baseline_run=baseline_run
+        )
         profiled = time.perf_counter()
-        points = plan_points(
-            total,
-            stride=self.stride,
-            injection_points=injection_points,
-            baseline_run=baseline_run,
-        )
-        executable = set(
-            plan_points(
-                total,
-                stride=self.stride,
-                injection_points=injection_points,
-                baseline_run=baseline_run,
-                pruned=decided,
-            )
-        )
         genuine_failures: List[str] = []
-        executed = 0
-        pruned = 0
-        derived = 0
-        done = 0
-        cache: Optional[FingerprintCache] = None
-        if (
-            self.fingerprint_cache
-            and woven_classes
-            and self.campaign.digest_cache is None
-            and getattr(self.campaign.backend, "supports_digest_cache", False)
-        ):
-            # Memoize frame digests across the sweep: the write barriers
-            # invalidate on any attribute write to a woven class, so the
-            # cached digest is only ever served when it is provably the
-            # digest the backend would recompute (bit-identical output).
-            cache = FingerprintCache()
-            cache.start(woven_classes)
-            self.campaign.digest_cache = cache
-        try:
-            for injection_point in points:
-                if injection_point in executable:
-                    _, failure = run_injection_point(
-                        self.program, self.campaign, injection_point
-                    )
-                    if failure is not None:
-                        genuine_failures.append(failure)
-                    executed += 1
-                else:
-                    # Decided without execution: append the synthesized
-                    # record in plan order, bypassing begin_run.
-                    self.campaign.log.runs.append(decided[injection_point])
-                    if injection_point in prune_map:
-                        pruned += 1
-                    else:
-                        derived += 1
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, len(points))
-        finally:
-            if cache is not None:
-                self.campaign.digest_cache = None
-                cache.stop()
+
+        def record_run(
+            point: int, record: RunRecord, failure: Optional[str], attempts: int
+        ) -> None:
+            if attempts == 0:
+                # Decided without execution: append the synthesized
+                # record in plan order (executed runs were logged by
+                # begin_run).
+                self.campaign.log.runs.append(record)
+            if failure is not None:
+                genuine_failures.append(failure)
+
+        with self.digest_cache() as cache:
+            tally = self.execute(plan.points, plan.decided, record_run)
         finished = time.perf_counter()
-        wall = finished - started
-        state_stats = self.campaign.state_stats
-        telemetry = CampaignTelemetry(
-            engine="sequential",
-            workers=1,
-            runs_total=len(points),
-            runs_executed=executed,
-            runs_pruned=pruned,
-            runs_derived=derived,
-            wall_seconds=wall,
-            runs_per_second=(executed / wall) if wall > 0 else 0.0,
-            phase_seconds={
-                "profile": profiled - started,
-                "execute": finished - profiled,
-            },
+        telemetry = campaign_telemetry(
+            "sequential",
+            tally,
+            plan=plan,
+            runs_total=len(plan.points),
+            wall=finished - started,
+            phases={"profile": profiled - started, "execute": finished - profiled},
+            state=self.campaign.state_stats,
+            cache=cache.to_dict() if cache is not None else None,
             state_backend=self.campaign.backend.name,
-            state_captures=state_stats.captures,
-            state_fingerprints=state_stats.fingerprints,
-            state_compares=state_stats.compares,
-            state_seconds=state_stats.seconds,
-            static_pure_methods=(
-                pruner.pure_method_count if pruner is not None else 0
-            ),
-            static_seconds=pruner.seconds if pruner is not None else 0.0,
-            trace_seconds=deriver.seconds if deriver is not None else 0.0,
-            trace_writes=(
-                recorder.recorded_writes if recorder is not None else 0
-            ),
-            trace_captures=(
-                deriver.stats.captures if deriver is not None else 0
-            ),
-            trace_capture_retries=(
-                deriver.capture_retries if deriver is not None else 0
-            ),
-            instrumentor=instrumentor.name,
-            fingerprint_cache_hits=cache.hits if cache is not None else 0,
-            fingerprint_cache_misses=cache.misses if cache is not None else 0,
+            instrumentor=self.instrumentor.name,
         )
         return DetectionResult(
             program=self.program.name,
             log=self.campaign.log,
-            total_points=total,
-            runs_executed=len(points),
+            total_points=plan.total_points,
+            runs_executed=len(plan.points),
             genuine_failures=genuine_failures,
             telemetry=telemetry,
         )

@@ -17,8 +17,7 @@ sharing structure.
 Type introspection and the canonical child ordering live in
 :mod:`repro.core.state.introspect`, shared with the fingerprint and
 checkpoint backends so that all three agree on what "the reachable state"
-is.  Historically this module was ``repro.core.objgraph``; that import
-path remains as a re-export shim.
+is.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The paper reports only end results; a campaign that sweeps hundreds of
 injection points at production scale needs observability of its own.
-Both detection engines (the sequential :class:`~repro.core.detector.Detector`
-and the parallel engine in :mod:`repro.experiments.parallel`) attach a
-:class:`CampaignTelemetry` to their :class:`DetectionResult`, and
+Every detection engine attaches a :class:`CampaignTelemetry` to its
+:class:`DetectionResult` (built by
+:func:`repro.core.detector.campaign_telemetry`), and
 ``save_outcome``/``load_outcome`` round-trip it through ``meta.json``.
 
 The serialized form is a plain dict so that journals and metadata written
@@ -14,14 +14,10 @@ optional and defaults sanely in :meth:`CampaignTelemetry.from_dict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
 __all__ = ["CampaignTelemetry"]
-
-#: Engine identifiers recorded in the telemetry.
-ENGINE_SEQUENTIAL = "sequential"
-ENGINE_PARALLEL = "parallel"
 
 
 @dataclass
@@ -29,7 +25,10 @@ class CampaignTelemetry:
     """Observability record of one detection campaign.
 
     Attributes:
-        engine: ``"sequential"`` or ``"parallel"``.
+        engine: which engine produced the campaign: ``"sequential"``,
+            ``"parallel"`` (process pool), ``"shard"`` (one shard
+            worker), ``"sharded"`` (fragments merged by the coordinator)
+            or ``"supervised"`` (shards run under the supervisor).
         workers: number of worker processes (1 for the sequential engine).
         runs_total: number of runs the campaign plan called for.
         runs_executed: runs actually executed this invocation (resumed
@@ -94,7 +93,7 @@ class CampaignTelemetry:
             the "where does sweep time go" number the backend swap targets.
     """
 
-    engine: str = ENGINE_SEQUENTIAL
+    engine: str = "sequential"
     workers: int = 1
     runs_total: int = 0
     runs_executed: int = 0
@@ -130,93 +129,29 @@ class CampaignTelemetry:
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a JSON-ready dict (the ``meta.json`` format)."""
-        return {
-            "engine": self.engine,
-            "workers": self.workers,
-            "runs_total": self.runs_total,
-            "runs_executed": self.runs_executed,
-            "runs_resumed": self.runs_resumed,
-            "runs_pruned": self.runs_pruned,
-            "runs_derived": self.runs_derived,
-            "runs_crashed": self.runs_crashed,
-            "retries": self.retries,
-            "static_pure_methods": self.static_pure_methods,
-            "static_seconds": self.static_seconds,
-            "trace_seconds": self.trace_seconds,
-            "trace_writes": self.trace_writes,
-            "trace_captures": self.trace_captures,
-            "trace_capture_retries": self.trace_capture_retries,
-            "instrumentor": self.instrumentor,
-            "fingerprint_cache_hits": self.fingerprint_cache_hits,
-            "fingerprint_cache_misses": self.fingerprint_cache_misses,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_misses": self.result_cache_misses,
-            "cache_persist_hits": self.cache_persist_hits,
-            "faults_injected": self.faults_injected,
-            "shard_retries": self.shard_retries,
-            "wall_seconds": self.wall_seconds,
-            "runs_per_second": self.runs_per_second,
-            "phase_seconds": dict(self.phase_seconds),
-            "worker_busy_seconds": dict(self.worker_busy_seconds),
-            "worker_utilization": self.worker_utilization,
-            "state_backend": self.state_backend,
-            "state_captures": self.state_captures,
-            "state_fingerprints": self.state_fingerprints,
-            "state_compares": self.state_compares,
-            "state_seconds": self.state_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Optional[Mapping[str, Any]]) -> "CampaignTelemetry":
         """Deserialize, tolerating records from older runs.
 
         Every missing key falls back to the field default, so metadata
-        written before a field existed still loads.
+        written before a field existed still loads; present values are
+        coerced to the field's type, and the per-key mappings are copied.
         """
         data = data or {}
-        return cls(
-            engine=str(data.get("engine", ENGINE_SEQUENTIAL)),
-            workers=int(data.get("workers", 1)),
-            runs_total=int(data.get("runs_total", 0)),
-            runs_executed=int(data.get("runs_executed", 0)),
-            runs_resumed=int(data.get("runs_resumed", 0)),
-            runs_pruned=int(data.get("runs_pruned", 0)),
-            runs_derived=int(data.get("runs_derived", 0)),
-            runs_crashed=int(data.get("runs_crashed", 0)),
-            retries=int(data.get("retries", 0)),
-            static_pure_methods=int(data.get("static_pure_methods", 0)),
-            static_seconds=float(data.get("static_seconds", 0.0)),
-            trace_seconds=float(data.get("trace_seconds", 0.0)),
-            trace_writes=int(data.get("trace_writes", 0)),
-            trace_captures=int(data.get("trace_captures", 0)),
-            trace_capture_retries=int(data.get("trace_capture_retries", 0)),
-            instrumentor=str(data.get("instrumentor", "weave")),
-            fingerprint_cache_hits=int(data.get("fingerprint_cache_hits", 0)),
-            fingerprint_cache_misses=int(
-                data.get("fingerprint_cache_misses", 0)
-            ),
-            result_cache_hits=int(data.get("result_cache_hits", 0)),
-            result_cache_misses=int(data.get("result_cache_misses", 0)),
-            cache_persist_hits=int(data.get("cache_persist_hits", 0)),
-            faults_injected=int(data.get("faults_injected", 0)),
-            shard_retries=int(data.get("shard_retries", 0)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            runs_per_second=float(data.get("runs_per_second", 0.0)),
-            phase_seconds={
-                str(k): float(v)
-                for k, v in dict(data.get("phase_seconds", {})).items()
-            },
-            worker_busy_seconds={
-                str(k): float(v)
-                for k, v in dict(data.get("worker_busy_seconds", {})).items()
-            },
-            worker_utilization=float(data.get("worker_utilization", 0.0)),
-            state_backend=str(data.get("state_backend", "graph")),
-            state_captures=int(data.get("state_captures", 0)),
-            state_fingerprints=int(data.get("state_fingerprints", 0)),
-            state_compares=int(data.get("state_compares", 0)),
-            state_seconds=float(data.get("state_seconds", 0.0)),
-        )
+        values: Dict[str, Any] = {}
+        for spec in fields(cls):
+            if spec.name not in data:
+                continue
+            value = data[spec.name]
+            if spec.default_factory is dict:
+                values[spec.name] = {
+                    str(key): float(seconds) for key, seconds in dict(value).items()
+                }
+            else:
+                values[spec.name] = type(spec.default)(value)
+        return cls(**values)
 
     def summary(self) -> str:
         """Human-readable one-paragraph summary (the CLI's telemetry box)."""

@@ -33,7 +33,6 @@ from .parallel import (
     JournalError,
     ParallelDetector,
     ProgramRef,
-    run_parallel_detection,
 )
 from .programs import (
     ALL_PROGRAMS,
@@ -45,7 +44,6 @@ from .programs import (
 from .shard import (
     MergedCampaign,
     ShardError,
-    ShardFragment,
     ShardResult,
     merge_fragments,
     run_shard,
@@ -87,10 +85,8 @@ __all__ = [
     "ProgramRef",
     "CampaignJournal",
     "JournalError",
-    "run_parallel_detection",
     "MergedCampaign",
     "ShardError",
-    "ShardFragment",
     "ShardResult",
     "merge_fragments",
     "run_shard",

@@ -10,21 +10,18 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import (
-    Analyzer,
     AppReport,
     CampaignTelemetry,
     ClassificationResult,
     DetectionResult,
     Detector,
-    InjectionCampaign,
     WrapPolicy,
     build_app_report,
     reclassify,
 )
-from repro.core.instrument import get_instrumentor
 
 from .programs import ALL_PROGRAMS, AppProgram
 
@@ -131,63 +128,38 @@ def run_app_campaign(
     """
     if scale > 1:
         program = program.scaled(scale * program.rounds)
+    options: Dict[str, Any] = dict(
+        stride=stride,
+        capture_args=capture_args,
+        progress=progress,
+        state_backend=state_backend,
+        static_prune=static_prune,
+        trace_derive=trace_derive,
+        instrumentor=instrumentor,
+        fingerprint_cache=fingerprint_cache,
+    )
     if workers is not None or resume or journal is not None:
         from .parallel import ParallelDetector
 
-        parallel_detector = ParallelDetector(
+        detector = ParallelDetector(
             program,
             workers=workers,
-            stride=stride,
-            capture_args=capture_args,
             timeout=timeout,
             retries=retries,
             journal_path=journal,
             resume=resume,
-            progress=progress,
-            state_backend=state_backend,
-            static_prune=static_prune,
-            trace_derive=trace_derive,
-            instrumentor=instrumentor,
-            fingerprint_cache=fingerprint_cache,
             program_ref=program_ref,
-        )
-        detection = parallel_detector.detect()
-        specs = parallel_detector.woven_specs
-        return _classify_and_report(program, detection, specs, policy)
-    analyzer = Analyzer(exclude=program.exclude)
-    campaign = InjectionCampaign(
-        capture_args=capture_args, state_backend=state_backend
-    )
-    engine = get_instrumentor(instrumentor, campaign, analyzer=analyzer)
-    with engine:
-        specs = engine.instrument(program.classes)
-        # AppProgram satisfies the Program protocol (name + __call__ with
-        # scaling applied), so it is the detector's test program directly
-        detector = Detector(
-            program,
-            campaign,
-            stride=stride,
-            progress=progress,
-            static_prune=static_prune,
-            trace_derive=trace_derive,
-            woven_specs=specs,
-            instrumentor=engine,
-            fingerprint_cache=fingerprint_cache,
+            **options,
         )
         detection = detector.detect()
-    return _classify_and_report(program, detection, specs, policy)
-
-
-def _classify_and_report(
-    program: AppProgram,
-    detection: DetectionResult,
-    specs,
-    policy: Optional[WrapPolicy],
-) -> CampaignOutcome:
-    """Shared tail of both engines: classify the log, build the report."""
+    else:
+        # AppProgram satisfies the Program protocol (name + __call__ with
+        # scaling applied), so it is the detector's test program directly
+        with Detector.woven(program, **options) as detector:
+            detection = detector.detect()
     # the programmer-declared exception-free annotations always apply
     # (§4.3 third case); a caller-supplied policy is merged on top
-    effective = WrapPolicy.from_specs(specs)
+    effective = WrapPolicy.from_specs(detector.woven_specs)
     if policy is not None:
         effective = effective.merged_with(policy)
     classification = reclassify(detection.log, effective)

@@ -7,18 +7,16 @@ fixes a single ``InjectionPoint`` threshold on fresh program state —
 which makes the sweep embarrassingly parallel.  This module fans the
 per-point runs out over a :mod:`multiprocessing` pool:
 
-1. the parent weaves + profiles **once** (Step 1–2 plus the counting run
-   of Step 3) to learn the injection-point count and the per-method call
-   counts, then unweaves;
-2. the planned points (shared with the sequential engine via
-   :func:`repro.core.detector.plan_points`) are split into contiguous
-   chunks and dispatched to worker processes, each of which weaves its
-   own copy of the subject classes and executes the shared single-run
-   kernel :func:`repro.core.detector.run_injection_point`;
-3. worker run logs are merged deterministically with the existing
-   :func:`repro.core.runlog.merge_logs` — call counts from the parent's
-   profiling run, run records in planned-point order — so the merged
-   :class:`DetectionResult` is **bit-identical** to the sequential
+1. the parent runs the shared plan step (:meth:`Detector.plan
+   <repro.core.detector.Detector.plan>`) **once** — weave, profile under
+   the static/trace passes, plan — then unweaves; workers never profile;
+2. the points left to execute are split into contiguous chunks and
+   dispatched to worker processes, each of which weaves its own copy of
+   the subject classes and runs the shared executor loop
+   (:meth:`Detector.execute <repro.core.detector.Detector.execute>`);
+3. :func:`merge_runs` builds the final log — call counts from the
+   parent's profiling run, run records in planned-point order — so the
+   merged :class:`DetectionResult` is **bit-identical** to the sequential
    engine's (``RunLog.to_json()`` equality, not just statistics).
 
 Robustness and observability around the fan-out:
@@ -26,9 +24,11 @@ Robustness and observability around the fan-out:
 * **per-run timeouts** (``timeout=`` seconds) with a bounded retry
   (``retries=``) before a point is marked ``crashed`` in its
   :class:`RunRecord`;
-* a **campaign journal** (JSONL of completed points) written as results
-  arrive, enabling ``resume=True`` to skip finished work after an
-  interruption — crashed points are re-attempted on resume;
+* a **campaign journal** (:class:`CampaignJournal`, JSONL of executed
+  points) written as results arrive, enabling ``resume=True`` to skip
+  finished work after an interruption — crashed points are re-attempted
+  on resume.  Shard fragments (:mod:`repro.experiments.shard`) are the
+  same format;
 * structured :class:`~repro.core.telemetry.CampaignTelemetry`
   (runs/sec, per-phase timings, worker utilization) attached to the
   result and surfaced by ``run_app_campaign`` and the CLI
@@ -40,34 +40,46 @@ from __future__ import annotations
 import json
 import math
 import os
-import signal
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.core import (
-    Analyzer,
-    DetectionError,
-    InjectionCampaign,
-    MethodSpec,
-    plan_points,
-    run_injection_point,
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
 )
-from repro.core.instrument import get_instrumentor, resolve_instrumentor_name
+
+from repro.core.detector import (
+    CampaignPlan,
+    DetectionResult,
+    Detector,
+    RunTally,
+    campaign_telemetry,
+    run_injection_point,
+    run_point_with_timeout,
+)
+from repro.core.instrument import resolve_instrumentor_name
 from repro.core.runlog import RunLog, RunRecord, merge_logs
-from repro.core.state import FingerprintCache, StateStats, get_backend
-from repro.core.staticpass import StaticPruner, call_through_boundary
-from repro.core.telemetry import CampaignTelemetry
-from repro.core.tracepass import TraceDeriver, TraceRecorder
-from repro.core.detector import DetectionResult
+from repro.core.state import StateStats, get_backend
 from repro.resilience.chaos import fire as _fault_site
 
 __all__ = [
+    "CAMPAIGN_KEYS",
     "ProgramRef",
     "CampaignJournal",
     "JournalError",
     "ParallelDetector",
-    "run_parallel_detection",
+    "journal_entry",
+    "merge_runs",
+    "run_lines",
+    "run_injection_point",
     "run_point_with_timeout",
     "scan_jsonl",
     "repair_jsonl_tail",
@@ -75,6 +87,28 @@ __all__ = [
 
 #: Journal schema version; bump when the line format changes.
 JOURNAL_VERSION = 1
+
+#: Header keys that identify the campaign a journal belongs to.  A resume
+#: and a fragment merge both refuse a journal that disagrees on one of
+#: them (a key a journal does not carry counts as matching, so journals
+#: written before the key existed keep loading).
+CAMPAIGN_KEYS = (
+    "version",
+    "program",
+    "rounds",
+    "stride",
+    "total_points",
+    "capture_args",
+    "state_backend",
+    "static_prune",
+    "trace_derive",
+    "instrumentor",
+    "shard_count",
+)
+
+#: ``(record, genuine_failure, attempts)`` of one point; ``attempts == 0``
+#: marks a record decided without execution.
+RunEntry = Tuple[RunRecord, Optional[str], int]
 
 
 class JournalError(ValueError):
@@ -175,23 +209,80 @@ class ProgramRef:
 
 
 # ---------------------------------------------------------------------------
-# Campaign journal: JSONL of completed points, written as results arrive
+# Campaign journal: one JSONL format for --journal files and shard fragments
 # ---------------------------------------------------------------------------
 
 
+def header_mismatches(
+    found: Mapping[str, Any],
+    expected: Mapping[str, Any],
+    keys: Sequence[str] = CAMPAIGN_KEYS,
+) -> List[str]:
+    """``key=value (expected ...)`` for every one of *keys* that both
+    headers carry and disagree on."""
+    return [
+        f"{key}={found[key]!r} (expected {expected[key]!r})"
+        for key in keys
+        if found.get(key) is not None
+        and key in expected
+        and found[key] != expected[key]
+    ]
+
+
+def run_lines(lines: Iterable[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
+    """The well-formed ``run`` lines of a replayed journal, in order."""
+    for line in lines:
+        if (
+            line.get("kind") == "run"
+            and "point" in line
+            and isinstance(line.get("record"), dict)
+        ):
+            yield line
+
+
+def journal_entry(line: Mapping[str, Any]) -> RunEntry:
+    """A journaled ``run`` line as ``(record, genuine_failure, attempts)``."""
+    return (
+        RunRecord.from_dict(line["record"]),
+        line.get("genuine_failure"),
+        int(line.get("attempts", 1)),
+    )
+
+
+def merge_runs(
+    profile_log: RunLog, points: Sequence[int], runs: Mapping[int, RunEntry]
+) -> Tuple[RunLog, List[str]]:
+    """Build a campaign's final log and its genuine failures.
+
+    Call counts come from the profiling run and run records follow in
+    planned-point order — the exact layout the sequential engine's
+    single log has.  Used by the pool engine and the fragment merge.
+    """
+    runs_log = RunLog()
+    genuine_failures: List[str] = []
+    for point in points:
+        record, failure, _ = runs[point]
+        runs_log.runs.append(record)
+        if failure:
+            genuine_failures.append(failure)
+    return merge_logs([profile_log, runs_log]), genuine_failures
+
+
 class CampaignJournal:
-    """Append-only JSONL journal of a campaign's completed points.
+    """Append-only JSONL journal of a campaign's points.
 
-    Line 1 is a header identifying the campaign plan; every further line
-    records one finished point (its :class:`RunRecord`, the genuine
-    failure it observed, and how many attempts it took).  A journal whose
-    plan no longer matches (different program, stride, rounds, or point
-    count) is rejected on resume rather than silently merged.
+    The one format behind both the pool engine's ``--journal`` file and
+    the shard fragments (:mod:`repro.experiments.shard`).  Line 1 is a
+    header identifying the campaign plan (:data:`CAMPAIGN_KEYS`); a
+    fragment follows it with a ``profile`` line.  Every further line
+    records one finished point: its :class:`RunRecord`, the genuine
+    failure it observed, and how many attempts it took (0 for a record
+    decided without execution).
 
-    Older or partial journals load leniently: missing header keys are
-    treated as matching, unknown line kinds are skipped, and a corrupt
-    trailing line (an interrupted write) ends the replay instead of
-    raising.
+    Every replay parses through :func:`scan_jsonl`: a torn trailing line
+    (an interrupted write) ends the replay instead of raising, and
+    unknown line kinds are skipped.  :meth:`load` filters that parse for
+    a resume; the fragment merge filters it for merging.
     """
 
     def __init__(self, path: str) -> None:
@@ -199,14 +290,23 @@ class CampaignJournal:
 
     # -- writing -----------------------------------------------------
 
-    def start(self, header: Dict[str, Any]) -> None:
-        """Truncate and write a fresh header line."""
+    def start(
+        self,
+        header: Dict[str, Any],
+        profile: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Truncate and durably write a fresh header line, followed by
+        the *profile* line when given (shard fragments)."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        payload = {"kind": "header", "version": JOURNAL_VERSION}
-        payload.update(header)
+        lines = [{"kind": "header", "version": JOURNAL_VERSION, **header}]
+        if profile is not None:
+            lines.append({"kind": "profile", **profile})
         with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
+            for line in lines:
+                handle.write(json.dumps(line, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def append_run(
         self,
@@ -243,94 +343,45 @@ class CampaignJournal:
         """Replay the journal; return ``{point: run-line}`` for resumes.
 
         Crashed points are *not* returned as done — a resume re-attempts
-        them.  Raises :class:`JournalError` when a header key that is
-        present contradicts the expected plan; the error names **every**
-        differing key/value pair, not just the first.
+        them.  Raises :class:`JournalError` when the file does not start
+        with a header, or when a campaign key (or a fragment's
+        ``shard_index``) present in the header contradicts the expected
+        plan; the error names **every** differing key/value pair.
 
         A worker killed mid-``write`` leaves a truncated final line —
-        possibly torn inside a multi-byte UTF-8 sequence, so the file is
-        read in binary and decoded line by line.  The partial tail is
-        dropped (everything before it still counts) instead of raising,
-        and — because every caller of ``load`` is about to *append* —
-        the torn bytes are also truncated from the file, so the next
-        ``append_run`` starts on a fresh line instead of concatenating
-        onto the partial one (which would corrupt that record too).
+        possibly torn inside a multi-byte UTF-8 sequence.  The partial
+        tail is dropped (everything before it still counts), and because
+        every caller of ``load`` is about to *append*, the torn bytes are
+        also truncated from the file, so the next ``append_run`` starts
+        on a fresh line instead of concatenating onto the partial one.
+        A header torn before anything was durable loads as empty.
         """
-        done: Dict[int, Dict[str, Any]] = {}
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            return done
-        if not data:
-            return done
-        raw_lines = data.splitlines()
-        kept_lines = data.splitlines(keepends=True)
-        header = self._parse_header(raw_lines[0])
-        if header is None:
-            # The write was torn inside the header line itself: nothing
-            # was durably recorded, so the journal is effectively empty
-            # (the campaign restarts and rewrites it from scratch).
-            self._repair_tail(data, 0)
-            return done
-        mismatches = []
-        for key, expected in sorted(expected_header.items()):
-            present = header.get(key)
-            if present is not None and present != expected:
-                mismatches.append(f"{key}={present!r} (expected {expected!r})")
-        if mismatches:
-            raise JournalError(
-                f"journal {self.path!r} was written for a different "
-                f"campaign: " + ", ".join(mismatches) + "; delete it or "
-                "pass a different --journal path"
+            return {}
+        lines, valid_end = scan_jsonl(data)
+        if lines:
+            if lines[0].get("kind") != "header":
+                raise JournalError(
+                    f"journal {self.path!r} does not start with a header"
+                )
+            mismatches = header_mismatches(
+                lines[0], expected_header, CAMPAIGN_KEYS + ("shard_index",)
             )
-        valid_end = len(kept_lines[0])
-        for index, raw in enumerate(raw_lines[1:], start=1):
-            if not raw.strip():
-                valid_end += len(kept_lines[index])
-                continue
-            try:
-                entry = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break  # interrupted write: everything before it still counts
-            if not isinstance(entry, dict):
-                break  # a torn tail can decode to a bare JSON scalar
-            if entry.get("kind") == "run" and "point" in entry:
-                record = entry.get("record")
-                if not isinstance(record, dict):
-                    break  # torn inside the record payload
-                if not record.get("crashed", False):
-                    done[int(entry["point"])] = entry
-            valid_end += len(kept_lines[index])
-        self._repair_tail(data, valid_end)
-        return done
-
-    def _repair_tail(self, data: bytes, valid_end: int) -> None:
-        """Durably drop a torn tail so subsequent appends stay clean.
-
-        Truncates the file back to *valid_end* (the end of the last
-        fully-parsed line) and restores the trailing newline if the
-        tear landed exactly on a line boundary without one.
-        """
+            if mismatches:
+                raise JournalError(
+                    f"journal {self.path!r} was written for a different "
+                    f"campaign: " + ", ".join(mismatches) + "; delete it or "
+                    "pass a different --journal path"
+                )
         repair_jsonl_tail(self.path, data, valid_end)
-
-    def _parse_header(self, raw: bytes) -> Optional[Dict[str, Any]]:
-        """Parse the first journal line.
-
-        ``None`` means the line is a torn partial write (not valid
-        JSON): a crash artifact, treated as an empty journal.  A line
-        that *does* parse but is not a header marks a file that was
-        never a campaign journal — that is a caller error and raises.
-        """
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(header, dict) or header.get("kind") != "header":
-            raise JournalError(
-                f"journal {self.path!r} does not start with a header"
-            )
-        return header
+        return {
+            int(line["point"]): line
+            for line in run_lines(lines)
+            if not line["record"].get("crashed", False)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -338,267 +389,52 @@ class CampaignJournal:
 # ---------------------------------------------------------------------------
 
 
-class _RunTimeout(BaseException):
-    """Raised by the SIGALRM handler when a run exceeds its budget.
-
-    Derives from ``BaseException`` so application-level ``except
-    Exception`` blocks inside the workload cannot swallow it.
-    """
-
-
-class _TimeoutGuard:
-    """Arms a per-run wall-clock budget around one subject execution.
-
-    On the main thread this is the classic ``SIGALRM`` + ``setitimer``
-    pair.  ``signal.signal`` raises ``ValueError`` anywhere else — e.g.
-    when the engine is driven from a ``repro serve`` worker thread — so
-    off the main thread the guard falls back to a watchdog timer that
-    posts :class:`_RunTimeout` into the running thread as an async
-    exception.  The watchdog cannot preempt a call blocked in C (the
-    exception is delivered at the next bytecode boundary), so a stalled
-    run is detected late rather than interrupted instantly; the budget
-    is still enforced and the point still crashes after its retries.
-    """
-
-    def __init__(self, seconds: float) -> None:
-        import threading
-
-        self.seconds = seconds
-        self._thread_id = threading.get_ident()
-        self._use_alarm = (
-            hasattr(signal, "setitimer")
-            and threading.current_thread() is threading.main_thread()
-        )
-        self._previous_handler: Any = None
-        self._timer: Optional["threading.Timer"] = None
-        self._fired = False
-
-    # -- watchdog plumbing -------------------------------------------
-
-    def _post_async(self, exc: Optional[type]) -> None:
-        """Raise *exc* in the guarded thread (``None`` clears a pending
-        one that was posted but not yet delivered)."""
-        import ctypes
-
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(self._thread_id),
-            ctypes.py_object(exc) if exc is not None else None,
-        )
-
-    def _fire(self) -> None:
-        self._fired = True
-        self._post_async(_RunTimeout)
-
-    # -- context management ------------------------------------------
-
-    def __enter__(self) -> "_TimeoutGuard":
-        if self._use_alarm:
-            try:
-                self._previous_handler = signal.signal(
-                    signal.SIGALRM, _alarm_handler
-                )
-                signal.setitimer(signal.ITIMER_REAL, self.seconds)
-                return self
-            except ValueError:
-                # Lost a race against an interpreter that still considers
-                # this a non-main thread (e.g. right after a fork from a
-                # threaded parent): fall through to the watchdog.
-                self._use_alarm = False
-        import threading
-
-        self._timer = threading.Timer(self.seconds, self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, self._previous_handler)
-            return
-        assert self._timer is not None
-        self._timer.cancel()
-        if exc_type is not _RunTimeout:
-            # Wait the timer thread out so a concurrent _fire cannot post
-            # after this guard is gone, then clear any pending async raise
-            # the run outlived (it must not surface in later code).
-            self._timer.join()
-            if self._fired:
-                self._post_async(None)
-
-
-class _WorkerState:
-    """Per-process campaign: the worker's own weave of the subject."""
-
-    def __init__(
-        self,
-        program,
-        capture_args: bool,
-        timeout: Optional[float],
-        retries: int,
-        state_backend: str = "graph",
-        instrumentor: str = "weave",
-        fingerprint_cache: bool = True,
-    ) -> None:
-        self.program = program
-        self.timeout = timeout
-        self.retries = retries
-        self.campaign = InjectionCampaign(
-            capture_args=capture_args, state_backend=state_backend
-        )
-        self.instrumentor = get_instrumentor(
-            instrumentor,
-            self.campaign,
-            analyzer=Analyzer(exclude=program.exclude),
-        )
-        woven = self.instrumentor.instrument(program.classes)
-        # The digest cache lives for the worker process's whole lifetime:
-        # its write barriers stay installed across every chunk this
-        # worker executes, so digests memoized in one chunk keep serving
-        # later chunks (each run rebuilds fresh state, but class-level
-        # constants and shared structures survive between runs).
-        self.cache: Optional[FingerprintCache] = None
-        if fingerprint_cache and getattr(
-            self.campaign.backend, "supports_digest_cache", False
-        ):
-            classes = {spec.owner for spec in woven if spec.owner}
-            if classes:
-                self.cache = FingerprintCache()
-                self.cache.start(classes)
-                self.campaign.digest_cache = self.cache
-
-
-_WORKER: Optional[_WorkerState] = None
+#: A pool worker's lifetime state, set by :func:`_init_worker`: its
+#: detector over its own weave of the subject, the per-run budget, and
+#: the exit stack holding the weave and the digest cache.  The stack is
+#: never closed: the cache's write barriers stay installed across every
+#: chunk the worker runs, so digests memoized in one chunk keep serving
+#: later chunks (each run rebuilds fresh state, but class-level
+#: constants and shared structures survive between runs).
+_WORKER: Dict[str, Any] = {}
 
 
 def _init_worker(
-    ref: ProgramRef,
-    capture_args: bool,
+    ref: "ProgramRef",
+    options: Dict[str, Any],
     timeout: Optional[float],
     retries: int,
-    state_backend: str = "graph",
-    instrumentor: str = "weave",
-    fingerprint_cache: bool = True,
 ) -> None:
-    global _WORKER
-    _WORKER = _WorkerState(
-        ref.resolve(),
-        capture_args,
-        timeout,
-        retries,
-        state_backend,
-        instrumentor,
-        fingerprint_cache,
-    )
-
-
-def _alarm_handler(signum, frame):
-    raise _RunTimeout()
-
-
-def run_point_with_timeout(
-    program,
-    campaign: InjectionCampaign,
-    point: int,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-) -> Tuple[RunRecord, Optional[str], int, bool]:
-    """Execute one injection point under an optional wall-clock budget.
-
-    The single-point kernel shared by the pool workers and the shard
-    runner (:mod:`repro.experiments.shard`): retries a timed-out run up
-    to *retries* times, then marks the point crashed.  Returns
-    ``(record, genuine_failure, attempts, crashed)``.  Works from any
-    thread — see :class:`_TimeoutGuard` for the main-thread (SIGALRM)
-    vs. worker-thread (watchdog) budget enforcement.
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        guard = (
-            _TimeoutGuard(timeout) if timeout is not None else _NULL_GUARD
-        )
-        try:
-            with guard:
-                # Chaos seam: an armed hang fault sleeps here, inside
-                # the watchdog's budget window, so "a run that stopped
-                # making progress" exercises the timeout/retry path.
-                _fault_site("run.exec")
-                record, failure = run_injection_point(
-                    program,
-                    campaign,
-                    point,
-                    reraise=(_RunTimeout,),
-                )
-            return record, failure, attempts, False
-        except _RunTimeout:
-            # Drop the partial record the aborted run left in the log.
-            runs = campaign.log.runs
-            if runs and runs[-1].injection_point == point:
-                runs.pop()
-            if attempts > retries:
-                return (
-                    RunRecord(injection_point=point, crashed=True),
-                    None,
-                    attempts,
-                    True,
-                )
-
-
-class _NullGuard:
-    def __enter__(self) -> "_NullGuard":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_GUARD = _NullGuard()
-
-
-def _run_point_with_retry(
-    state: _WorkerState, point: int
-) -> Tuple[RunRecord, Optional[str], int, bool]:
-    """Execute one point, retrying on timeout; returns
-    ``(record, genuine_failure, attempts, crashed)``."""
-    return run_point_with_timeout(
-        state.program,
-        state.campaign,
-        point,
-        timeout=state.timeout,
-        retries=state.retries,
+    lifetime = ExitStack()
+    detector = lifetime.enter_context(Detector.woven(ref.resolve(), **options))
+    lifetime.enter_context(detector.digest_cache())
+    _WORKER.update(
+        detector=detector, lifetime=lifetime, timeout=timeout, retries=retries
     )
 
 
 def _run_chunk(task: Tuple[int, List[int]]) -> Dict[str, Any]:
-    """Pool task: execute a contiguous chunk of injection points."""
+    """Pool task: run the executor loop over a contiguous chunk of points."""
     chunk_index, points = task
-    assert _WORKER is not None, "worker initializer did not run"
+    assert _WORKER, "worker initializer did not run"
+    detector: Detector = _WORKER["detector"]
+    cache = detector.campaign.digest_cache
     started = time.perf_counter()
     # The campaign's state counters accumulate for the lifetime of the
     # worker process; report this chunk's contribution as a delta so the
     # parent can sum chunk outcomes without double counting.
-    stats_before = _WORKER.campaign.state_stats.to_dict()
-    cache_before = (
-        _WORKER.cache.to_dict() if _WORKER.cache is not None else {}
+    stats_before = detector.campaign.state_stats.to_dict()
+    cache_before = cache.to_dict() if cache is not None else {}
+    results: List[Tuple[int, RunRecord, Optional[str], int]] = []
+    detector.execute(
+        points,
+        {},
+        lambda *result: results.append(result),
+        timeout=_WORKER["timeout"],
+        retries=_WORKER["retries"],
     )
-    results = []
-    for point in points:
-        record, failure, attempts, crashed = _run_point_with_retry(_WORKER, point)
-        results.append(
-            {
-                "point": point,
-                "record": record.to_dict(),
-                "genuine_failure": failure,
-                "attempts": attempts,
-                "crashed": crashed,
-            }
-        )
-    stats_after = _WORKER.campaign.state_stats.to_dict()
-    cache_after = (
-        _WORKER.cache.to_dict() if _WORKER.cache is not None else {}
-    )
+    stats_after = detector.campaign.state_stats.to_dict()
+    cache_after = cache.to_dict() if cache is not None else {}
     return {
         "chunk": chunk_index,
         "worker": os.getpid(),
@@ -618,13 +454,18 @@ def _run_chunk(task: Tuple[int, List[int]]) -> Dict[str, Any]:
 # Parent side
 # ---------------------------------------------------------------------------
 
+#: Pool tasks per worker: enough chunks to balance uneven points across
+#: the pool, few enough that dispatch overhead stays negligible.
+TASKS_PER_WORKER = 4
+
 
 class ParallelDetector:
     """Parallel drop-in for :class:`repro.core.Detector`.
 
-    Profiles once in the parent process (weave → count points → unweave),
-    fans the per-point runs out over a process pool, and merges the
-    worker logs into a result equivalent to the sequential engine's.
+    Runs the plan step once in the parent process (weave → profile →
+    plan → unweave), fans the remaining per-point runs out over a
+    process pool (``fork`` where available), and merges the worker
+    results into a result equivalent to the sequential engine's.
 
     Args:
         program: the test program (an ``AppProgram``; must be resolvable
@@ -636,13 +477,10 @@ class ParallelDetector:
         timeout: per-run wall-clock budget in seconds (``None`` = none).
         retries: retry attempts per point after a timeout before the
             point is marked crashed.
-        chunk_size: points per pool task; defaults to ~4 tasks per worker.
         journal_path: where to persist the campaign journal (JSONL).
         resume: skip points already completed in the journal.
         progress: optional ``(runs_done, runs_total)`` callback.
         program_ref: explicit worker-side recipe for non-registry programs.
-        mp_start_method: multiprocessing start method (default ``fork``
-            when available, else the platform default).
         state_backend: name of the state backend workers compare state
             with (``graph`` or ``fingerprint``).  Recorded in the journal
             header, so a ``--resume`` against a journal written under a
@@ -682,12 +520,10 @@ class ParallelDetector:
         capture_args: bool = True,
         timeout: Optional[float] = None,
         retries: int = 1,
-        chunk_size: Optional[int] = None,
         journal_path: Optional[str] = None,
         resume: bool = False,
         progress: Optional[Callable[[int, int], None]] = None,
         program_ref: Optional[ProgramRef] = None,
-        mp_start_method: Optional[str] = None,
         state_backend: str = "graph",
         static_prune: bool = False,
         trace_derive: bool = False,
@@ -708,129 +544,60 @@ class ParallelDetector:
         self.capture_args = capture_args
         self.timeout = timeout
         self.retries = retries
-        self.chunk_size = chunk_size
         self.journal_path = journal_path
         self.resume = resume
         self.progress = progress
         self.ref = program_ref or ProgramRef.for_program(program)
-        self.mp_start_method = mp_start_method
         # Resolve eagerly so an unknown name fails here, not in a worker.
         self.state_backend = get_backend(state_backend).name
         self.static_prune = static_prune
         self.trace_derive = trace_derive
         self.instrumentor = resolve_instrumentor_name(instrumentor)
         self.fingerprint_cache = fingerprint_cache
-        self.woven_specs: List[MethodSpec] = []
+        self.woven_specs: List[Any] = []
 
     # -- phases ------------------------------------------------------
 
-    def _profile(
-        self,
-    ) -> Tuple[
-        int,
-        RunLog,
-        Optional[StaticPruner],
-        Optional[TraceDeriver],
-        Optional[TraceRecorder],
-    ]:
-        """Weave + profile in the parent; returns (total points, profile
-        log, attached static pruner / trace deriver / trace recorder).
+    def _profile(self) -> Tuple[CampaignPlan, RunLog]:
+        """The plan step in the parent; returns the plan and the profile
+        log (the per-method call counts of Figures 2b/3b, no runs).
 
-        The profile log carries the per-method call counts (Figures
-        2b/3b) and no runs; the parent unweaves immediately so worker
-        processes (forked afterwards) start from clean classes.  With
-        ``static_prune``/``trace_derive`` the passes observe this
-        profiling run's call stacks — the sweep itself happens in
-        workers, but the decision of which points need a worker at all is
-        made here in the parent.  The trace recorder's write barriers are
-        removed before any worker forks.
+        The parent unweaves as soon as the plan is made, so worker
+        processes (forked afterwards) start from clean classes and the
+        trace recorder's write barriers are gone before any fork.
         """
-        campaign = InjectionCampaign(capture_args=self.capture_args)
-        instrumentor = get_instrumentor(
-            self.instrumentor,
-            campaign,
-            analyzer=Analyzer(exclude=self.program.exclude),
-        )
-        pruner: Optional[StaticPruner] = None
-        deriver: Optional[TraceDeriver] = None
-        recorder: Optional[TraceRecorder] = None
-        with instrumentor:
-            self.woven_specs = instrumentor.instrument(self.program.classes)
-            if self.static_prune:
-                pruner = StaticPruner(self.woven_specs)
-            observers: List[Any] = []
-            if self.trace_derive:
-                recorder = TraceRecorder()
-                instrumentor.start_write_trace(
-                    recorder,
-                    {spec.owner for spec in self.woven_specs if spec.owner},
-                )
-                deriver = TraceDeriver(campaign, pruner=pruner, recorder=recorder)
-                observers.append(deriver)
-            elif pruner is not None:
-                observers.append(pruner)
-            for observer in observers:
-                instrumentor.subscribe(observer)
-            if observers:
-                instrumentor.attach()
-            campaign.begin_profile()
-            try:
-                call_through_boundary(self.program)
-            except BaseException as exc:
-                raise DetectionError(
-                    f"program {self.program.name!r} failed during profiling: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            finally:
-                total = campaign.end_profile()
-                if instrumentor.attached:
-                    instrumentor.detach()
-                for observer in observers:
-                    instrumentor.unsubscribe(observer)
-                if recorder is not None:
-                    instrumentor.stop_write_trace(recorder)
-        return total, campaign.log, pruner, deriver, recorder
+        with Detector.woven(
+            self.program,
+            capture_args=self.capture_args,
+            instrumentor=self.instrumentor,
+            stride=self.stride,
+            static_prune=self.static_prune,
+            trace_derive=self.trace_derive,
+        ) as detector:
+            self.woven_specs = detector.woven_specs
+            return detector.plan(), detector.campaign.log
 
     def _chunks(self, points: List[int]) -> List[Tuple[int, List[int]]]:
-        if not points:
-            return []
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(points) / (self.workers * 4)))
+        size = max(1, math.ceil(len(points) / (self.workers * TASKS_PER_WORKER)))
         return [
             (index, points[start : start + size])
             for index, start in enumerate(range(0, len(points), size))
         ]
 
-    def _pool_context(self):
-        import multiprocessing
-
-        if self.mp_start_method is not None:
-            return multiprocessing.get_context(self.mp_start_method)
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-
     # -- the campaign ------------------------------------------------
 
     def detect(self) -> DetectionResult:
-        started = time.perf_counter()
-        total, profile_log, pruner, deriver, recorder = self._profile()
-        prune_map = pruner.prune_map() if pruner is not None else {}
-        derive_map = deriver.derive_map() if deriver is not None else {}
-        # Statically decided points win the provenance tag; the records
-        # agree modulo provenance whenever both passes decide a point.
-        decided = dict(derive_map)
-        decided.update(prune_map)
-        profiled = time.perf_counter()
+        import multiprocessing
 
-        points = plan_points(total, stride=self.stride)
+        started = time.perf_counter()
+        plan, profile_log = self._profile()
+        profiled = time.perf_counter()
+        points = plan.points
         header = {
             "program": self.program.name,
             "rounds": self.program.rounds,
             "stride": self.stride,
-            "total_points": total,
+            "total_points": plan.total_points,
             "capture_args": self.capture_args,
             "state_backend": self.state_backend,
             "static_prune": self.static_prune,
@@ -838,57 +605,52 @@ class ParallelDetector:
             "instrumentor": self.instrumentor,
         }
 
+        runs: Dict[int, RunEntry] = {}
         journal: Optional[CampaignJournal] = None
-        resumed: Dict[int, Dict[str, Any]] = {}
         if self.journal_path is not None:
             journal = CampaignJournal(self.journal_path)
             if self.resume:
-                resumed = journal.load(header)
-                resumed = {p: e for p, e in resumed.items() if p in set(points)}
-            if not resumed:
+                planned = set(points)
+                for point, line in journal.load(header).items():
+                    if point in planned:
+                        runs[point] = journal_entry(line)
+            if not runs:
                 journal.start(header)
+        resumed = len(runs)
 
         # Points decided without execution are never dispatched (and
         # never journaled: a resumed campaign re-derives them from its
         # own fresh profiling run).  A resumed record wins over a
         # synthesized one — both describe the same outcome.
-        pruned_points = [
-            p for p in points if p not in resumed and p in prune_map
-        ]
-        derived_points = [
-            p
-            for p in points
-            if p not in resumed and p in decided and p not in prune_map
-        ]
-        remaining = [
-            p for p in points if p not in resumed and p not in decided
-        ]
-        chunks = self._chunks(remaining)
-        done = len(resumed) + len(pruned_points) + len(derived_points)
+        tally = RunTally()
+        for point in points:
+            if point not in runs and point in plan.decided:
+                runs[point] = (plan.decided[point], None, 0)
+                tally.add(plan.decided[point], 0)
+        chunks = self._chunks([p for p in points if p not in runs])
+        done = len(runs)
         if self.progress is not None and done:
             self.progress(done, len(points))
 
-        by_point: Dict[int, Dict[str, Any]] = dict(resumed)
         busy: Dict[str, float] = {}
-        retry_count = 0
-        crashed_count = 0
         state_stats = StateStats()
-        cache_hits = 0
-        cache_misses = 0
+        cache_stats: Dict[str, int] = {}
+        pool_size = min(self.workers, len(chunks))
         if chunks:
-            ctx = self._pool_context()
-            pool = ctx.Pool(
-                processes=min(self.workers, len(chunks)),
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else None
+            )
+            options = {
+                "capture_args": self.capture_args,
+                "state_backend": self.state_backend,
+                "instrumentor": self.instrumentor,
+                "fingerprint_cache": self.fingerprint_cache,
+            }
+            pool = context.Pool(
+                processes=pool_size,
                 initializer=_init_worker,
-                initargs=(
-                    self.ref,
-                    self.capture_args,
-                    self.timeout,
-                    self.retries,
-                    self.state_backend,
-                    self.instrumentor,
-                    self.fingerprint_cache,
-                ),
+                initargs=(self.ref, options, self.timeout, self.retries),
             )
             try:
                 for outcome in pool.imap_unordered(_run_chunk, chunks):
@@ -896,29 +658,14 @@ class ParallelDetector:
                     busy[worker_id] = (
                         busy.get(worker_id, 0.0) + outcome["busy_seconds"]
                     )
-                    chunk_stats = outcome.get("state_stats") or {}
-                    state_stats.captures += int(chunk_stats.get("captures", 0))
-                    state_stats.fingerprints += int(
-                        chunk_stats.get("fingerprints", 0)
-                    )
-                    state_stats.compares += int(chunk_stats.get("compares", 0))
-                    state_stats.seconds += float(chunk_stats.get("seconds", 0.0))
-                    chunk_cache = outcome.get("cache_stats") or {}
-                    cache_hits += int(chunk_cache.get("hits", 0))
-                    cache_misses += int(chunk_cache.get("misses", 0))
-                    for result in outcome["results"]:
-                        point = result["point"]
-                        by_point[point] = result
-                        retry_count += result["attempts"] - 1
-                        if result["crashed"]:
-                            crashed_count += 1
+                    state_stats.merge(StateStats(**outcome["state_stats"]))
+                    for key, count in outcome["cache_stats"].items():
+                        cache_stats[key] = cache_stats.get(key, 0) + count
+                    for point, record, failure, attempts in outcome["results"]:
+                        runs[point] = (record, failure, attempts)
+                        tally.add(record, attempts)
                         if journal is not None:
-                            journal.append_run(
-                                point,
-                                RunRecord.from_dict(result["record"]),
-                                result["genuine_failure"],
-                                result["attempts"],
-                            )
+                            journal.append_run(point, record, failure, attempts)
                         done += 1
                         if self.progress is not None:
                             self.progress(done, len(points))
@@ -926,91 +673,40 @@ class ParallelDetector:
                 pool.close()
                 pool.join()
         executed = time.perf_counter()
-
-        # Deterministic merge: call counts from the parent's profiling
-        # run, run records in planned-point order — the exact layout the
-        # sequential engine's single log has.
-        runs_log = RunLog()
-        genuine_failures: List[str] = []
-        for point in points:
-            entry = by_point.get(point)
-            if entry is None:
-                # Decided without execution: splice in the synthesized
-                # (static) or derived (trace) record.
-                runs_log.runs.append(decided[point])
-                continue
-            runs_log.runs.append(RunRecord.from_dict(entry["record"]))
-            if entry.get("genuine_failure"):
-                genuine_failures.append(entry["genuine_failure"])
-        merged = merge_logs([profile_log, runs_log])
+        merged, genuine_failures = merge_runs(profile_log, points, runs)
         finished = time.perf_counter()
 
-        wall = finished - started
         execute_wall = executed - profiled
-        executed_runs = (
-            len(points)
-            - len(resumed)
-            - len(pruned_points)
-            - len(derived_points)
-        )
         utilization = 0.0
         if busy and execute_wall > 0:
-            pool_size = min(self.workers, len(chunks)) or 1
             utilization = min(
-                1.0, sum(busy.values()) / (pool_size * execute_wall)
+                1.0, sum(busy.values()) / ((pool_size or 1) * execute_wall)
             )
-        telemetry = CampaignTelemetry(
-            engine="parallel",
-            workers=self.workers,
+        telemetry = campaign_telemetry(
+            "parallel",
+            tally,
+            plan=plan,
             runs_total=len(points),
-            runs_executed=executed_runs,
-            runs_resumed=len(resumed),
-            runs_pruned=len(pruned_points),
-            runs_derived=len(derived_points),
-            runs_crashed=crashed_count,
-            retries=retry_count,
-            static_pure_methods=(
-                pruner.pure_method_count if pruner is not None else 0
-            ),
-            static_seconds=pruner.seconds if pruner is not None else 0.0,
-            trace_seconds=deriver.seconds if deriver is not None else 0.0,
-            trace_writes=(
-                recorder.recorded_writes if recorder is not None else 0
-            ),
-            trace_captures=(
-                deriver.stats.captures if deriver is not None else 0
-            ),
-            trace_capture_retries=(
-                deriver.capture_retries if deriver is not None else 0
-            ),
-            instrumentor=self.instrumentor,
-            fingerprint_cache_hits=cache_hits,
-            fingerprint_cache_misses=cache_misses,
-            wall_seconds=wall,
-            runs_per_second=(executed_runs / wall) if wall > 0 else 0.0,
-            phase_seconds={
+            wall=finished - started,
+            phases={
                 "profile": profiled - started,
                 "execute": execute_wall,
                 "merge": finished - executed,
             },
+            state=state_stats,
+            cache=cache_stats,
+            workers=self.workers,
+            runs_resumed=resumed,
+            instrumentor=self.instrumentor,
+            state_backend=self.state_backend,
             worker_busy_seconds=busy,
             worker_utilization=utilization,
-            state_backend=self.state_backend,
-            state_captures=state_stats.captures,
-            state_fingerprints=state_stats.fingerprints,
-            state_compares=state_stats.compares,
-            state_seconds=state_stats.seconds,
         )
         return DetectionResult(
             program=self.program.name,
             log=merged,
-            total_points=total,
+            total_points=plan.total_points,
             runs_executed=len(points),
             genuine_failures=genuine_failures,
             telemetry=telemetry,
         )
-
-
-def run_parallel_detection(program, **kwargs) -> DetectionResult:
-    """One-call convenience wrapper around :class:`ParallelDetector`."""
-    return ParallelDetector(program, **kwargs).detect()

@@ -24,10 +24,11 @@ Why this is safe without a coordinator during execution:
 * each fragment embeds its shard's profiling log; the coordinator
   asserts all profiles are byte-identical before trusting any of them
   (a nondeterministic subject is detected, not silently merged);
-* fragments are append-only JSONL with the same crash-safe semantics as
-  the campaign journal — a shard killed mid-write leaves a truncated
-  tail that is dropped on ``resume=True``, and the merge step reports
-  exactly which points (and which shard) are missing.
+* fragments are :class:`~repro.experiments.parallel.CampaignJournal`
+  files, the pool engine's crash-safe JSONL journal — a shard killed
+  mid-write leaves a truncated tail that is dropped on ``resume=True``,
+  and the merge step reports exactly which points (and which shard) are
+  missing.
 
 The fragment format (one JSON object per line)::
 
@@ -43,55 +44,39 @@ and caching layer on top.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core import (
-    Analyzer,
-    ClassificationResult,
-    DetectionError,
-    InjectionCampaign,
-    WrapPolicy,
-    plan_points,
-    reclassify,
+from repro.core import ClassificationResult, WrapPolicy, plan_points, reclassify
+from repro.core.detector import (
+    DetectionResult,
+    Detector,
+    RunTally,
+    campaign_telemetry,
 )
-from repro.core.detector import DetectionResult
-from repro.core.instrument import get_instrumentor, resolve_instrumentor_name
-from repro.core.runlog import RunLog, RunRecord, merge_logs
-from repro.core.state import FingerprintCache, get_backend
-from repro.core.staticpass import StaticPruner, call_through_boundary
+from repro.core.instrument import resolve_instrumentor_name
+from repro.core.runlog import RunLog
+from repro.core.state import get_backend
 from repro.core.telemetry import CampaignTelemetry
-from repro.core.tracepass import TraceDeriver, TraceRecorder
 
-from .parallel import CampaignJournal, run_point_with_timeout
+from .parallel import (
+    CampaignJournal,
+    header_mismatches,
+    journal_entry,
+    merge_runs,
+    run_lines,
+    scan_jsonl,
+)
 
 __all__ = [
     "ShardError",
-    "ShardFragment",
     "ShardResult",
     "MergedCampaign",
     "shard_points",
     "run_shard",
     "merge_fragments",
 ]
-
-#: Header keys that identify the campaign a fragment belongs to.  Two
-#: fragments may only be merged when they agree on every one of these.
-CAMPAIGN_KEYS = (
-    "version",
-    "program",
-    "rounds",
-    "stride",
-    "total_points",
-    "capture_args",
-    "state_backend",
-    "static_prune",
-    "trace_derive",
-    "instrumentor",
-    "shard_count",
-)
 
 
 class ShardError(ValueError):
@@ -119,104 +104,6 @@ def shard_points(points: Sequence[int], shard_count: int) -> List[List[int]]:
         shards.append(list(points[start : start + size]))
         start += size
     return shards
-
-
-# ---------------------------------------------------------------------------
-# Fragment journal
-# ---------------------------------------------------------------------------
-
-
-class ShardFragment:
-    """One shard's append-only journal: header, profile, run lines.
-
-    Wraps :class:`~repro.experiments.parallel.CampaignJournal` (same
-    crash-safe line format, same lenient/tail-tolerant replay) and adds
-    the ``profile`` line that makes a fragment self-contained: the merge
-    step needs the profiling run's call counts without re-executing the
-    subject.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._journal = CampaignJournal(path)
-
-    def start(self, header: Dict[str, Any], profile: Dict[str, Any]) -> None:
-        """Truncate and write a fresh header + profile line."""
-        self._journal.start(header)
-        payload = {"kind": "profile"}
-        payload.update(profile)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def append_run(
-        self,
-        point: int,
-        record: RunRecord,
-        genuine_failure: Optional[str],
-        attempts: int,
-    ) -> None:
-        self._journal.append_run(point, record, genuine_failure, attempts)
-
-    def load_done(self, header: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
-        """Completed (non-crashed) points for a resume; tolerant of a
-        truncated tail, strict about a mismatched header."""
-        return self._journal.load(header)
-
-
-@dataclass
-class _Fragment:
-    """A fully parsed fragment, as the merge step sees it."""
-
-    path: str
-    header: Dict[str, Any]
-    profile: Optional[Dict[str, Any]]
-    runs: Dict[int, Dict[str, Any]]
-
-
-def _replay_fragment(path: str) -> _Fragment:
-    """Parse a fragment for merging.
-
-    Unlike the resume path, crashed records are *kept* — a merged
-    campaign reports crashed points exactly like the parallel engine
-    does (the fix is to re-run that shard with ``resume=True``).  A
-    truncated tail line (shard killed mid-write) is dropped; the
-    coverage check then reports the missing points.
-    """
-    try:
-        with open(path, "rb") as handle:
-            raw_lines = handle.read().splitlines()
-    except FileNotFoundError:
-        raise ShardError(f"fragment {path!r} does not exist")
-    if not raw_lines:
-        raise ShardError(f"fragment {path!r} is empty")
-    try:
-        header = json.loads(raw_lines[0].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ShardError(f"fragment {path!r} has a corrupt header")
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise ShardError(f"fragment {path!r} does not start with a header")
-    profile: Optional[Dict[str, Any]] = None
-    runs: Dict[int, Dict[str, Any]] = {}
-    for raw in raw_lines[1:]:
-        if not raw.strip():
-            continue
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            break  # truncated tail: everything before it still counts
-        if not isinstance(entry, dict):
-            break
-        kind = entry.get("kind")
-        if kind == "profile":
-            profile = entry
-        elif kind == "run" and "point" in entry:
-            record = entry.get("record")
-            if not isinstance(record, dict):
-                break  # torn inside the record payload
-            runs[int(entry["point"])] = entry
-    return _Fragment(path=path, header=header, profile=profile, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +150,18 @@ def run_shard(
 ) -> ShardResult:
     """Run one shard of a campaign and write its journal fragment.
 
-    Profiles in-process (weave → count points → static/trace decisions),
-    takes the ``shard_index``-th slice of the deterministic shard
-    assignment, executes exactly those points, and appends every record
-    — executed, synthesized (static) and derived (trace) alike — to the
-    fragment so the coordinator can merge without re-profiling.  With
+    Runs the shared plan step in-process (weave → profile under the
+    static/trace passes → plan), takes the ``shard_index``-th slice of
+    the deterministic shard assignment, and runs the executor loop over
+    exactly those points, appending every record — executed,
+    synthesized (static) and derived (trace) alike — to the fragment so
+    the coordinator can merge without re-profiling.  With
     ``resume=True`` a fragment left behind by a killed worker is
     replayed first and only the unfinished points run.
 
     Runs on any thread: per-run timeouts use SIGALRM on the main thread
     and the async-exception watchdog elsewhere (see
-    :func:`~repro.experiments.parallel.run_point_with_timeout`).
+    :func:`~repro.core.detector.run_point_with_timeout`).
     """
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
@@ -281,69 +169,31 @@ def run_shard(
         raise ValueError(
             f"shard_index must be in [0, {shard_count}), got {shard_index}"
         )
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
     state_backend = get_backend(state_backend).name
     instrumentor = resolve_instrumentor_name(instrumentor)
 
     started = time.perf_counter()
-    campaign = InjectionCampaign(
-        capture_args=capture_args, state_backend=state_backend
-    )
-    engine = get_instrumentor(
-        instrumentor, campaign, analyzer=Analyzer(exclude=program.exclude)
-    )
-    with engine:
-        specs = engine.instrument(program.classes)
-        pruner: Optional[StaticPruner] = None
-        deriver: Optional[TraceDeriver] = None
-        recorder: Optional[TraceRecorder] = None
-        if static_prune:
-            pruner = StaticPruner(specs)
-        observers: List[Any] = []
-        woven_classes = {spec.owner for spec in specs if spec.owner}
-        if trace_derive:
-            recorder = TraceRecorder()
-            engine.start_write_trace(recorder, woven_classes)
-            deriver = TraceDeriver(campaign, pruner=pruner, recorder=recorder)
-            observers.append(deriver)
-        elif pruner is not None:
-            observers.append(pruner)
-        for observer in observers:
-            engine.subscribe(observer)
-        if observers:
-            engine.attach()
-        campaign.begin_profile()
-        try:
-            call_through_boundary(program)
-        except BaseException as exc:
-            raise DetectionError(
-                f"program {program.name!r} failed during profiling: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
-            total = campaign.end_profile()
-            if engine.attached:
-                engine.detach()
-            for observer in observers:
-                engine.unsubscribe(observer)
-            if recorder is not None:
-                engine.stop_write_trace(recorder)
-        prune_map = pruner.prune_map() if pruner is not None else {}
-        derive_map = deriver.derive_map() if deriver is not None else {}
-        decided = dict(derive_map)
-        decided.update(prune_map)
+    with Detector.woven(
+        program,
+        capture_args=capture_args,
+        state_backend=state_backend,
+        instrumentor=instrumentor,
+        stride=stride,
+        progress=progress,
+        static_prune=static_prune,
+        trace_derive=trace_derive,
+        fingerprint_cache=fingerprint_cache,
+    ) as detector:
+        plan = detector.plan()
         profiled = time.perf_counter()
-
-        points = plan_points(total, stride=stride)
-        mine = shard_points(points, shard_count)[shard_index]
+        mine = shard_points(plan.points, shard_count)[shard_index]
         header = {
             "program": program.name,
             "rounds": program.rounds,
             "stride": stride,
-            "total_points": total,
+            "total_points": plan.total_points,
             "capture_args": capture_args,
             "state_backend": state_backend,
             "static_prune": static_prune,
@@ -358,124 +208,66 @@ def run_shard(
         # The snapshot is taken before any injection run, so the log
         # holds counts and no runs — exactly the parent profile log the
         # parallel engine merges from.
-        profile_payload = {
-            "total_points": total,
-            "log": json.loads(campaign.log.to_json()),
+        profile = {
+            "total_points": plan.total_points,
+            "log": json.loads(detector.campaign.log.to_json()),
             "exception_free": sorted(
-                spec.key for spec in specs if spec.exception_free
+                spec.key for spec in detector.woven_specs if spec.exception_free
             ),
         }
 
-        fragment = ShardFragment(fragment_path)
+        fragment = CampaignJournal(fragment_path)
         resumed: Dict[int, Dict[str, Any]] = {}
         if resume:
-            resumed = fragment.load_done(header)
-            resumed = {p: e for p, e in resumed.items() if p in set(mine)}
+            assigned = set(mine)
+            resumed = {
+                point: line
+                for point, line in fragment.load(header).items()
+                if point in assigned
+            }
         if not resumed:
-            fragment.start(header, profile_payload)
+            fragment.start(header, profile)
 
-        cache: Optional[FingerprintCache] = None
-        if (
-            fingerprint_cache
-            and woven_classes
-            and campaign.digest_cache is None
-            and getattr(campaign.backend, "supports_digest_cache", False)
-        ):
-            cache = FingerprintCache()
-            cache.start(woven_classes)
-            campaign.digest_cache = cache
-
-        executed = pruned = derived = crashed = retry_count = 0
-        done = len(resumed)
-        if progress is not None and done:
-            progress(done, len(mine))
-        try:
-            for point in mine:
-                if point in resumed:
-                    continue
-                if point in decided:
-                    # Decided without execution: journal the synthesized
-                    # (static) or derived (trace) record so the merge
-                    # step needs no re-derivation.  attempts=0 marks the
-                    # record as never having run the subject.
-                    fragment.append_run(point, decided[point], None, 0)
-                    if point in prune_map:
-                        pruned += 1
-                    else:
-                        derived += 1
-                else:
-                    record, failure, attempts, did_crash = (
-                        run_point_with_timeout(
-                            program,
-                            campaign,
-                            point,
-                            timeout=timeout,
-                            retries=retries,
-                        )
-                    )
-                    fragment.append_run(point, record, failure, attempts)
-                    executed += 1
-                    retry_count += attempts - 1
-                    if did_crash:
-                        crashed += 1
-                done += 1
-                if progress is not None:
-                    progress(done, len(mine))
-        finally:
-            if cache is not None:
-                campaign.digest_cache = None
-                cache.stop()
+        # Decided points are journaled too (attempts=0 marks a record
+        # that never ran the subject), so the merge step needs no
+        # re-derivation.
+        with detector.digest_cache() as cache:
+            tally = detector.execute(
+                [point for point in mine if point not in resumed],
+                plan.decided,
+                fragment.append_run,
+                timeout=timeout,
+                retries=retries,
+                done=len(resumed),
+            )
     finished = time.perf_counter()
 
     wall = finished - started
-    state_stats = campaign.state_stats
-    telemetry = CampaignTelemetry(
-        engine="shard",
-        workers=1,
+    telemetry = campaign_telemetry(
+        "shard",
+        tally,
+        plan=plan,
         runs_total=len(mine),
-        runs_executed=executed,
+        wall=wall,
+        phases={"profile": profiled - started, "execute": finished - profiled},
+        state=detector.campaign.state_stats,
+        cache=cache.to_dict() if cache is not None else None,
         runs_resumed=len(resumed),
-        runs_pruned=pruned,
-        runs_derived=derived,
-        runs_crashed=crashed,
-        retries=retry_count,
-        static_pure_methods=(
-            pruner.pure_method_count if pruner is not None else 0
-        ),
-        static_seconds=pruner.seconds if pruner is not None else 0.0,
-        trace_seconds=deriver.seconds if deriver is not None else 0.0,
-        trace_writes=recorder.recorded_writes if recorder is not None else 0,
-        trace_captures=deriver.stats.captures if deriver is not None else 0,
-        trace_capture_retries=(
-            deriver.capture_retries if deriver is not None else 0
-        ),
         instrumentor=instrumentor,
-        fingerprint_cache_hits=cache.hits if cache is not None else 0,
-        fingerprint_cache_misses=cache.misses if cache is not None else 0,
-        wall_seconds=wall,
-        runs_per_second=(executed / wall) if wall > 0 else 0.0,
-        phase_seconds={
-            "profile": profiled - started,
-            "execute": finished - profiled,
-        },
         state_backend=state_backend,
-        state_captures=state_stats.captures,
-        state_fingerprints=state_stats.fingerprints,
-        state_compares=state_stats.compares,
-        state_seconds=state_stats.seconds,
     )
     return ShardResult(
         shard_index=shard_index,
         shard_count=shard_count,
         fragment_path=fragment_path,
         points=list(mine),
-        total_points=total,
-        executed=executed,
+        total_points=plan.total_points,
+        executed=tally.executed,
         resumed=len(resumed),
-        pruned=pruned,
-        derived=derived,
-        crashed=crashed,
-        retries=retry_count,
+        pruned=tally.pruned,
+        derived=tally.derived,
+        crashed=tally.crashed,
+        retries=tally.retries,
         wall_seconds=wall,
         telemetry=telemetry,
     )
@@ -484,6 +276,47 @@ def run_shard(
 # ---------------------------------------------------------------------------
 # Coordinator merge
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Fragment:
+    """A fully parsed fragment, as the merge step sees it."""
+
+    path: str
+    header: Dict[str, Any]
+    profile: Optional[Dict[str, Any]]
+    runs: Dict[int, Dict[str, Any]]
+
+
+def _read_fragment(path: str) -> _Fragment:
+    """Parse a fragment for merging.
+
+    Unlike the resume path, crashed records are *kept* — a merged
+    campaign reports crashed points exactly like the parallel engine
+    does (the fix is to re-run that shard with ``resume=True``).  A
+    truncated tail line (shard killed mid-write) is dropped; the
+    coverage check then reports the missing points.  The file itself is
+    left untouched.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        raise ShardError(f"fragment {path!r} does not exist")
+    if not data:
+        raise ShardError(f"fragment {path!r} is empty")
+    lines, _ = scan_jsonl(data)
+    if not lines:
+        raise ShardError(f"fragment {path!r} has a corrupt header")
+    if lines[0].get("kind") != "header":
+        raise ShardError(f"fragment {path!r} does not start with a header")
+    profiles = [line for line in lines if line.get("kind") == "profile"]
+    return _Fragment(
+        path=path,
+        header=lines[0],
+        profile=profiles[-1] if profiles else None,
+        runs={int(line["point"]): line for line in run_lines(lines)},
+    )
 
 
 @dataclass
@@ -508,16 +341,6 @@ class MergedCampaign:
         return reclassify(self.detection.log, effective)
 
 
-def _header_mismatches(
-    base: Dict[str, Any], other: Dict[str, Any]
-) -> List[str]:
-    diffs = []
-    for key in CAMPAIGN_KEYS:
-        if base.get(key) != other.get(key):
-            diffs.append(f"{key}={other.get(key)!r} (expected {base.get(key)!r})")
-    return diffs
-
-
 def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     """Merge journal fragments into one campaign result.
 
@@ -539,10 +362,10 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     """
     if not paths:
         raise ShardError("no fragments to merge")
-    fragments = [_replay_fragment(path) for path in paths]
+    fragments = [_read_fragment(path) for path in paths]
     base = fragments[0]
     for fragment in fragments[1:]:
-        diffs = _header_mismatches(base.header, fragment.header)
+        diffs = header_mismatches(fragment.header, base.header)
         if diffs:
             raise ShardError(
                 f"fragment {fragment.path!r} belongs to a different "
@@ -583,13 +406,13 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
     by_point: Dict[int, Dict[str, Any]] = {}
     for fragment in fragments:
         allowed = set(assignment[int(fragment.header["shard_index"])])
-        for point, entry in fragment.runs.items():
+        for point, line in fragment.runs.items():
             if point not in allowed:
                 raise ShardError(
                     f"fragment {fragment.path!r} holds point {point}, "
                     f"outside its assigned range"
                 )
-            by_point[point] = entry
+            by_point[point] = line
 
     missing: Dict[int, List[int]] = {}
     for index, assigned in enumerate(assignment):
@@ -608,25 +431,10 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
         )
 
     merge_started = time.perf_counter()
-    runs_log = RunLog()
-    genuine_failures: List[str] = []
-    executed = pruned = derived = crashed = retry_count = 0
-    for point in points:
-        entry = by_point[point]
-        record = RunRecord.from_dict(entry["record"])
-        runs_log.runs.append(record)
-        if entry.get("genuine_failure"):
-            genuine_failures.append(entry["genuine_failure"])
-        attempts = int(entry.get("attempts", 1))
-        if attempts > 0:
-            executed += 1
-            retry_count += attempts - 1
-        elif record.provenance == "static":
-            pruned += 1
-        else:
-            derived += 1
-        if record.crashed:
-            crashed += 1
+    runs = {point: journal_entry(by_point[point]) for point in points}
+    tally = RunTally()
+    for record, _, attempts in runs.values():
+        tally.add(record, attempts)
     profile_log = RunLog.from_json(profile_json)
     # to_json sorts call_counts keys, but merge_logs rebuilds
     # methods_seen from call_counts *insertion* order — restore the
@@ -638,22 +446,19 @@ def merge_fragments(paths: Sequence[str]) -> MergedCampaign:
         for method in profile_log.methods_seen
         if method in profile_log.call_counts
     }
-    merged = merge_logs([profile_log, runs_log])
+    merged, genuine_failures = merge_runs(profile_log, points, runs)
     merge_seconds = time.perf_counter() - merge_started
 
-    telemetry = CampaignTelemetry(
-        engine="sharded",
-        workers=shard_count,
+    telemetry = campaign_telemetry(
+        "sharded",
+        tally,
         runs_total=len(points),
-        runs_executed=executed,
-        runs_pruned=pruned,
-        runs_derived=derived,
-        runs_crashed=crashed,
-        retries=retry_count,
+        wall=merge_seconds,
+        phases={"merge": merge_seconds},
+        runs_per_second=0.0,
+        workers=shard_count,
         instrumentor=str(base.header.get("instrumentor", "weave")),
         state_backend=str(base.header.get("state_backend", "graph")),
-        wall_seconds=merge_seconds,
-        phase_seconds={"merge": merge_seconds},
     )
     detection = DetectionResult(
         program=str(base.header["program"]),

@@ -31,14 +31,14 @@ around it.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.detector import post_async_exc
 from repro.resilience.chaos import (
     FaultPlan,
     ShardHung,
@@ -86,22 +86,6 @@ class _Heartbeat:
     def age(self) -> float:
         with self._lock:
             return time.monotonic() - self._last
-
-
-def _post_async_exc(ident: int, exc_type: type) -> bool:
-    """Raise *exc_type* inside the thread *ident* at its next bytecode
-    boundary — the only portable way to interrupt a hung worker thread
-    (same mechanism as :class:`~repro.experiments.parallel._TimeoutGuard`).
-    """
-    posted = ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(ident), ctypes.py_object(exc_type)
-    )
-    if posted > 1:  # hit more than one thread state: undo, do no harm
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(ident), ctypes.py_object(None)
-        )
-        return False
-    return posted == 1
 
 
 @dataclass
@@ -298,7 +282,7 @@ class ShardSupervisor:
                     # runs subject bytecode, so the async exception is
                     # delivered promptly; it unwinds through ``with
                     # engine:`` restoring the woven classes.
-                    _post_async_exc(beat.ident, ShardHung)
+                    post_async_exc(beat.ident, ShardHung)
                 thread.join(timeout=self.kill_grace)
                 return True
         return False
@@ -388,25 +372,7 @@ class ChaosReport:
     config: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "program": self.program,
-            "seed": self.seed,
-            "shard_count": self.shard_count,
-            "converged": self.converged,
-            "identical": self.identical,
-            "faults_injected": self.faults_injected,
-            "faults_by_kind": dict(self.faults_by_kind),
-            "required_kinds": list(self.required_kinds),
-            "missing_kinds": list(self.missing_kinds),
-            "shard_retries": self.shard_retries,
-            "attempts_per_shard": list(self.attempts_per_shard),
-            "failures": list(self.failures),
-            "fault_log": list(self.fault_log),
-            "plan": dict(self.plan),
-            "error": self.error,
-            "wall_seconds": self.wall_seconds,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         verdict = "CONVERGED" if self.converged else "DIVERGED"
@@ -492,16 +458,9 @@ def run_chaos_campaign(
         "instrumentor": instrumentor,
         "fingerprint_cache": fingerprint_cache,
     }
-    reference = run_app_campaign(
-        program_factory(),
-        stride=stride,
-        capture_args=capture_args,
-        state_backend=state_backend,
-        static_prune=static_prune,
-        trace_derive=trace_derive,
-        instrumentor=instrumentor,
-        fingerprint_cache=fingerprint_cache,
-    )
+    # the sequential engine has no per-run budget: timeout/retries only
+    # shape the supervised run
+    reference = run_app_campaign(program_factory(), **config)
     if plan is None:
         plan = standard_plan(
             seed, hang_seconds=hang_seconds, run_hangs=retries + 1
@@ -514,18 +473,7 @@ def run_chaos_campaign(
     with arm(plan) as injector:
         try:
             supervised = supervisor.run(
-                program_factory,
-                shard_count,
-                workdir,
-                stride=stride,
-                capture_args=capture_args,
-                timeout=timeout,
-                retries=retries,
-                state_backend=state_backend,
-                static_prune=static_prune,
-                trace_derive=trace_derive,
-                instrumentor=instrumentor,
-                fingerprint_cache=fingerprint_cache,
+                program_factory, shard_count, workdir, **config
             )
         except (SupervisorError, ShardError) as exc:
             error = f"{type(exc).__name__}: {exc}"

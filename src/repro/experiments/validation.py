@@ -26,23 +26,18 @@ the second campaign.
 from __future__ import annotations
 
 import functools
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core import (
     Analyzer,
-    InjectionCampaign,
     MaskingStats,
     WrapPolicy,
     reclassify,
 )
-from repro.core.instrument import get_instrumentor
 from repro.core.classify import CATEGORY_ATOMIC, ClassificationResult
-from repro.core.cow import (
-    install_write_barrier,
-    make_undolog_atomicity_wrapper,
-    remove_write_barrier,
-)
+from repro.core.cow import install_write_barrier, remove_write_barrier
 from repro.core.detector import DetectionResult, Detector
 from repro.core.exceptions import InjectionAbort
 from repro.core.masking import make_atomicity_wrapper
@@ -213,25 +208,16 @@ def mask_and_redetect(
     wrap_set = set(to_wrap)
     analyzer = Analyzer(exclude=program.exclude)
     if atomic_factory is None:
-        if strategy == "snapshot":
-            atomic_factory = lambda spec: make_atomicity_wrapper(  # noqa: E731
-                spec, stats=stats
-            )
-        else:
-            atomic_factory = lambda spec: make_undolog_atomicity_wrapper(  # noqa: E731
-                spec, stats=stats
-            )
-    campaign = InjectionCampaign(state_backend=state_backend)
+        backend = "undolog" if strategy == "undolog" else None
+        atomic_factory = lambda spec: make_atomicity_wrapper(  # noqa: E731
+            spec, stats=stats, backend=backend
+        )
     atomic_weaver = Weaver(atomic_factory, analyzer)
     checker_weaver = (
         Weaver(lambda spec: _make_graph_checker(spec, graph_checks), analyzer)
         if graph_checks is not None
         else None
     )
-    injection_engine = get_instrumentor(
-        instrumentor, campaign, analyzer=analyzer
-    )
-
     def weave_selected(weaver: Weaver) -> None:
         for cls in program.classes:
             wanted = [
@@ -248,28 +234,21 @@ def mask_and_redetect(
             for cls in program.classes:
                 install_write_barrier(cls)
                 barriered.append(cls)
-        with atomic_weaver:
-            weave_selected(atomic_weaver)
-            if checker_weaver is not None:
-                with checker_weaver:
-                    weave_selected(checker_weaver)
-                    with injection_engine:
-                        specs = injection_engine.instrument(program.classes)
-                        detection = Detector(
-                            program,
-                            campaign,
-                            stride=stride,
-                            instrumentor=injection_engine,
-                        ).detect()
-            else:
-                with injection_engine:
-                    specs = injection_engine.instrument(program.classes)
-                    detection = Detector(
-                        program,
-                        campaign,
-                        stride=stride,
-                        instrumentor=injection_engine,
-                    ).detect()
+        with ExitStack() as weaves:
+            for weaver in (atomic_weaver, checker_weaver):
+                if weaver is not None:
+                    weaves.enter_context(weaver)
+                    weave_selected(weaver)
+            detector = weaves.enter_context(
+                Detector.woven(
+                    program,
+                    state_backend=state_backend,
+                    instrumentor=instrumentor,
+                    stride=stride,
+                )
+            )
+            detection = detector.detect()
+        specs = detector.woven_specs
         effective = WrapPolicy.from_specs(specs)
         if policy is not None:
             effective = effective.merged_with(policy)

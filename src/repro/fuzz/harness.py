@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core import WrapPolicy, reclassify
+from repro.core import WrapPolicy
 from repro.core.classify import (
     CATEGORY_ATOMIC,
     CATEGORIES,
@@ -47,7 +47,7 @@ from repro.core.staticpass import log_json_without_provenance
 from repro.core.masking import MaskingStats
 from repro.core.policy import select_methods_to_wrap
 from repro.experiments.campaign import run_app_campaign
-from repro.experiments.parallel import ParallelDetector, ProgramRef
+from repro.experiments.parallel import ProgramRef
 from repro.experiments.validation import GraphCheck, mask_and_redetect
 
 from .build import build_program
@@ -130,27 +130,7 @@ class FuzzReport:
         return not self.mismatches
 
     def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "programs": self.programs,
-            "max_depth": self.max_depth,
-            "engine": self.engine,
-            "workers": self.workers,
-            "defect": self.defect,
-            "state_backend": self.state_backend,
-            "static_prune": self.static_prune,
-            "total_pruned": self.total_pruned,
-            "trace_derive": self.trace_derive,
-            "total_derived": self.total_derived,
-            "variants": self.variants,
-            "total_variant_applied": self.total_variant_applied,
-            "instrumentor": self.instrumentor,
-            "total_points": self.total_points,
-            "total_runs": self.total_runs,
-            "category_counts": self.category_counts,
-            "mismatches": [m.to_dict() for m in self.mismatches],
-            "failing_programs": self.failing_programs,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -162,41 +142,12 @@ class FuzzReport:
 
 
 def _sequential_campaign(
-    spec: ProgramSpec,
-    state_backend: str = "graph",
-    static_prune: bool = False,
-    trace_derive: bool = False,
-    instrumentor: str = "weave",
+    spec: ProgramSpec, state_backend: str = "graph", **options: Any
 ) -> Tuple[DetectionResult, ClassificationResult]:
     outcome = run_app_campaign(
-        build_program(spec),
-        state_backend=state_backend,
-        static_prune=static_prune,
-        trace_derive=trace_derive,
-        instrumentor=instrumentor,
+        build_program(spec), state_backend=state_backend, **options
     )
     return outcome.detection, outcome.classification
-
-
-def _parallel_campaign(
-    spec: ProgramSpec,
-    workers: int,
-    state_backend: str = "graph",
-    instrumentor: str = "weave",
-) -> Tuple[DetectionResult, ClassificationResult]:
-    program = build_program(spec)
-    detector = ParallelDetector(
-        program,
-        workers=workers,
-        program_ref=ProgramRef(factory=functools.partial(build_program, spec)),
-        state_backend=state_backend,
-        instrumentor=instrumentor,
-    )
-    detection = detector.detect()
-    classification = reclassify(
-        detection.log, WrapPolicy.from_specs(detector.woven_specs)
-    )
-    return detection, classification
 
 
 def _swap_pure_conditional(
@@ -568,9 +519,14 @@ def check_program(
                     )
                 )
     if engine in ("parallel", "both"):
-        detection, classification = _parallel_campaign(
-            spec, workers, state_backend, instrumentor
+        outcome = run_app_campaign(
+            build_program(spec),
+            workers=workers,
+            program_ref=ProgramRef(factory=functools.partial(build_program, spec)),
+            state_backend=state_backend,
+            instrumentor=instrumentor,
         )
+        detection, classification = outcome.detection, outcome.classification
         if defect == "merge_reversed":
             detection.log.runs.reverse()
         if sequential is not None:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.objgraph import CaptureLimitError, capture, capture_frame
-from repro.core.snapshot import CheckpointError, checkpoint
+from repro.core.state import CaptureLimitError, capture, capture_frame
+from repro.core.state import CheckpointError, checkpoint
 
 
 class Node:

@@ -22,10 +22,6 @@ SRC_ROOT = os.path.join(
 #: The one package whose modules may share underscore-prefixed names.
 EXEMPT_PACKAGE = os.path.join("repro", "core", "state")
 
-#: The explicitly grandfathered compatibility alias: the objgraph shim
-#: re-exports slot_names under its historical private name.
-ALLOWED = {("repro/core/objgraph.py", "repro.core.state.introspect")}
-
 
 def _python_files():
     for dirpath, _dirnames, filenames in os.walk(SRC_ROOT):
@@ -56,8 +52,6 @@ def _violations():
             # only intra-repro imports are our business
             if not (node.level > 0 or module.startswith("repro")):
                 continue
-            if (rel.replace(os.sep, "/"), module) in ALLOWED:
-                continue
             found.append(
                 f"{rel}:{node.lineno}: from {'.' * node.level}{module} "
                 f"import {', '.join(private_names)}"
@@ -75,9 +69,8 @@ def test_no_underscore_imports_between_modules():
 
 
 def test_the_historical_offender_is_gone():
-    # the snapshot shim (and the real checkpoint module) must not import
-    # _slot_names anymore — that was the original violation
-    for rel in ("core/snapshot.py", "core/state/checkpoint.py"):
-        path = os.path.join(SRC_ROOT, rel)
-        with open(path, encoding="utf-8") as handle:
-            assert "_slot_names" not in handle.read(), rel
+    # the checkpoint module must not import _slot_names anymore — that
+    # was the original violation
+    path = os.path.join(SRC_ROOT, "core/state/checkpoint.py")
+    with open(path, encoding="utf-8") as handle:
+        assert "_slot_names" not in handle.read()

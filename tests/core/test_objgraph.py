@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.objgraph import (
+from repro.core.state import (
     GraphDifference,
     ObjectGraph,
     capture,

@@ -22,8 +22,8 @@ from repro.core.cow import (
     remove_write_barrier,
 )
 from repro.core.masking import failure_atomic
-from repro.core.objgraph import capture, graph_diff, graphs_equal
-from repro.core.snapshot import checkpoint
+from repro.core.state import capture, graph_diff, graphs_equal
+from repro.core.state import checkpoint
 
 # -- strategies ----------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.objgraph import capture, graphs_equal
-from repro.core.snapshot import Checkpoint, checkpoint, restore
+from repro.core.state import capture, graphs_equal
+from repro.core.state import Checkpoint, checkpoint, restore
 
 
 class Node:

@@ -196,11 +196,12 @@ def test_crashed_shard_resumes_from_fragment(sequential, tmp_path, count):
 
 def test_fragment_resume_tolerates_truncation_at_every_byte(tmp_path):
     """A worker killed mid-``write`` tears the fragment at an arbitrary
-    byte.  For **every** byte prefix, ``load_done`` must return exactly
-    the fully-written run records, and must repair the file durably —
+    byte.  For **every** byte prefix, the resume replay
+    (``CampaignJournal.load``) must return exactly the fully-written run
+    records, and must repair the file durably —
     after the load no partial line survives on disk, so the resume's
     appends never concatenate onto torn bytes."""
-    from repro.experiments.shard import ShardFragment
+    from repro.experiments.parallel import CampaignJournal
 
     source = str(tmp_path / "full.jsonl")
     run_shard(program_by_name(APP), 0, 2, source, stride=4)
@@ -218,7 +219,7 @@ def test_fragment_resume_tolerates_truncation_at_every_byte(tmp_path):
     torn = tmp_path / "torn.jsonl"
     for cut in range(len(data) + 1):
         torn.write_bytes(data[:cut])
-        done = ShardFragment(str(torn)).load_done({"program": APP})
+        done = CampaignJournal(str(torn)).load({"program": APP})
         expected = {p for end, p in complete_at.items() if cut >= end}
         assert set(done) == expected, f"cut at byte {cut}"
         repaired = torn.read_bytes()
