@@ -1,8 +1,12 @@
 """Benchmark — fingerprint vs. graph state backend on a detection sweep.
 
-The detection phase spends most of its time in the state layer: every
-call of a woven method captures the reachable state before and after so
-the injector can compare them (Definition 2).  The graph backend
+The detection phase spends most of its time in the state layer: a call
+an exception can leave captures the reachable state before and after so
+the injector can compare them (Definition 2).  Calls the profiling run
+proves return before the injection fires skip their capture, so the
+captures are those of calls on the stack when the exception fires, of
+calls that raised in the profile, and of every call after the
+injection.  The graph backend
 materializes two full :class:`ObjectGraph` snapshots per comparison; the
 fingerprint backend reduces each side to a 128-bit structural digest in
 one traversal and compares 16 bytes, falling back to a graph re-run only
@@ -17,7 +21,10 @@ the original ``step`` writes three attributes per call, so every capture
 misses the cache by design — the variant interleaves each write with a
 run of read-only calls, the access pattern the cache exists for (and
 the common shape of getter-heavy subjects), and keeps its state vector
-barrier-covered so digests are actually storable.  The object size is
+barrier-covered so digests are actually storable.  The program is a
+request loop that survives a failed request, as a service does: every
+call after an injected exception captures, and those captures are the
+traffic the digest cache serves.  The object size is
 the knob the paper turns in Figure 5, and it is exactly the knob that
 decides how much a skipped traversal is worth.
 
@@ -103,15 +110,20 @@ class ReadHeavyService:
 
 
 def _program(size: int, writes: int, reads: int) -> AppProgram:
-    """A detection subject with one write per *reads* read-only calls."""
+    """A detection subject: *writes* requests, each one write followed by
+    *reads* pairs of read-only calls; a failed request is dropped and the
+    loop serves the next one."""
 
     def body() -> None:
         service = ReadHeavyService(size)
         for index in range(writes):
-            service.step(index)
-            for offset in range(reads):
-                service.peek(index + offset)
-                service.total()
+            try:
+                service.step(index)
+                for offset in range(reads):
+                    service.peek(index + offset)
+                    service.total()
+            except Exception:
+                continue
 
     return AppProgram(
         name=f"ReadHeavyService{size}",

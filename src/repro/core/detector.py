@@ -168,15 +168,23 @@ def run_injection_point(
             parallel engine passes its timeout exception here so a timed
             out run is retried rather than logged as a genuine failure.
 
-    When the campaign uses a lossy-diff backend (fingerprints) and the
-    run produced non-atomic marks, the run is transparently re-executed
-    under the graph backend and the refined record replaces the lossy
-    one: digests can witness *that* state changed but not *where*, and
-    the run log's ``difference`` strings are part of the deliverable.
-    Programs are re-runnable by contract (:class:`Program`), so the
-    refinement run observes the identical execution — the emitted log is
-    bit-identical to an all-graph campaign's.  Atomic-only runs (the vast
-    majority in a sweep, Figure 5) never pay for a second execution.
+    Two cases re-execute the run transparently, the new record replacing
+    the first, so the emitted log is bit-identical to that of an
+    all-graph campaign that captures at every call:
+
+    * an exception left a call whose before-capture the call-exit table
+      elided (:attr:`InjectionCampaign.capture_missed`: the program
+      diverged from its profile, so the record lacks that call's
+      verdict) — the run is repeated with the table emptied, every call
+      capturing as in Listing 1;
+    * the campaign uses a lossy-diff backend (fingerprints) and the run
+      produced non-atomic marks — the run is repeated under the graph
+      backend: digests can witness *that* state changed but not
+      *where*, and the run log's ``difference`` strings are part of the
+      deliverable.  Programs are re-runnable by contract
+      (:class:`Program`), so the refinement run observes the identical
+      execution.  Atomic-only runs (the vast majority in a sweep,
+      Figure 5) never pay for a second execution.
     """
     record = campaign.begin_run(injection_point)
     completed = False
@@ -197,29 +205,46 @@ def run_injection_point(
             failure = f"point={injection_point}: {type(exc).__name__}: {exc}"
     finally:
         campaign.end_run(completed=completed, escaped=escaped)
+    if campaign.capture_missed:
+        campaign.capture_reruns += 1
+        return _rerun(
+            program, campaign, injection_point, record, reraise, call_exits=[]
+        )
     if campaign.backend.lossy_diff and record.first_nonatomic() is not None:
-        return _refine_run(program, campaign, injection_point, record, reraise)
+        return _rerun(
+            program,
+            campaign,
+            injection_point,
+            record,
+            reraise,
+            backend=get_backend("graph"),
+        )
     return record, failure
 
 
-def _refine_run(
+def _rerun(
     program: Program,
     campaign: InjectionCampaign,
     injection_point: int,
-    lossy_record: RunRecord,
+    dropped: RunRecord,
     reraise: Tuple[Type[BaseException], ...],
+    **overrides: Any,
 ) -> Tuple[RunRecord, Optional[str]]:
-    """Re-execute one run under the graph backend for full diagnostics."""
-    if campaign.log.runs and campaign.log.runs[-1] is lossy_record:
+    """Re-execute one run with campaign attributes temporarily overridden
+    (``backend`` for full diagnostics, ``call_exits`` for full capture),
+    replacing the *dropped* record."""
+    if campaign.log.runs and campaign.log.runs[-1] is dropped:
         campaign.log.runs.pop()
-    saved_backend = campaign.backend
-    campaign.backend = get_backend("graph")
+    saved = {name: getattr(campaign, name) for name in overrides}
+    for name, value in overrides.items():
+        setattr(campaign, name, value)
     try:
         return run_injection_point(
             program, campaign, injection_point, reraise=reraise
         )
     finally:
-        campaign.backend = saved_backend
+        for name, value in saved.items():
+            setattr(campaign, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +412,9 @@ class RunTally:
     derived: int = 0
     crashed: int = 0
     retries: int = 0
+    #: executed points run twice because a frame that skipped its
+    #: before-capture raised (see :func:`run_injection_point`)
+    capture_reruns: int = 0
 
     def add(self, record: RunRecord, attempts: int) -> None:
         """Count one point; ``attempts == 0`` marks a decided record."""
@@ -408,12 +436,16 @@ class CampaignPlan:
 
     ``points`` is the ordered sweep (:func:`plan_points`); ``decided``
     maps the points the static/trace passes decided without execution
-    to their records.  The passes themselves are kept for telemetry.
+    to their records; ``call_exits`` is the profile's call-exit table
+    (:attr:`InjectionCampaign.call_exits`), which engines that execute
+    in another process install in their own campaign.  The passes
+    themselves are kept for telemetry.
     """
 
     total_points: int
     points: List[int]
     decided: Dict[int, RunRecord]
+    call_exits: List[int] = field(default_factory=list)
     pruner: Optional[StaticPruner] = None
     deriver: Optional[TraceDeriver] = None
     recorder: Optional[TraceRecorder] = None
@@ -446,6 +478,7 @@ def campaign_telemetry(
         runs_derived=tally.derived,
         runs_crashed=tally.crashed,
         retries=tally.retries,
+        capture_reruns=tally.capture_reruns,
         wall_seconds=wall,
         runs_per_second=(tally.executed / wall) if wall > 0 else 0.0,
         phase_seconds=phases,
@@ -588,7 +621,8 @@ class Detector:
         return {spec.owner for spec in self.woven_specs or [] if spec.owner}
 
     def profile(self) -> int:
-        """Count injection points and record call counts (no injection)."""
+        """Count injection points, record call counts and the call-exit
+        table (no injection)."""
         self.campaign.begin_profile()
         try:
             call_through_boundary(self.program)
@@ -652,7 +686,15 @@ class Detector:
             injection_points=injection_points,
             baseline_run=baseline_run,
         )
-        return CampaignPlan(total, points, decided, pruner, deriver, recorder)
+        return CampaignPlan(
+            total,
+            points,
+            decided,
+            self.campaign.call_exits,
+            pruner,
+            deriver,
+            recorder,
+        )
 
     @contextmanager
     def digest_cache(self) -> Iterator[Optional[FingerprintCache]]:
@@ -703,6 +745,7 @@ class Detector:
         if self.progress is not None and done:
             self.progress(done, total)
         tally = RunTally()
+        reruns = self.campaign.capture_reruns
         for point in points:
             record = decided.get(point)
             if record is None:
@@ -720,6 +763,7 @@ class Detector:
             done += 1
             if self.progress is not None:
                 self.progress(done, total)
+        tally.capture_reruns = self.campaign.capture_reruns - reruns
         return tally
 
     def detect(

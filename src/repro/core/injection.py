@@ -7,6 +7,17 @@ wrapper otherwise deep-copies the receiver's object graph, calls the real
 method, and — if an exception propagates out — compares the graphs and
 marks the method atomic or non-atomic for this call before re-throwing.
 
+A before-copy is only ever compared when an exception leaves the call,
+so the wrapper skips it where the profiling run proves none can: the
+profile records, per wrapped call in call order, the counter value at
+the call's exit (:data:`RAISED` when the call raised).  Before the
+threshold fires, a detection run retraces the profile call for call, so
+call *k* with ``exits[k] < InjectionPoint`` returns normally before the
+injection — unless the program is not deterministic, in which case an
+exception leaving such a frame flags the run
+(:attr:`InjectionCampaign.capture_missed`) and the detector re-executes it
+with every capture taken.
+
 Here the counter pair lives in an :class:`InjectionCampaign` object rather
 than in actual globals, so several campaigns can coexist (e.g. in tests)
 without interfering.
@@ -15,6 +26,7 @@ without interfering.
 from __future__ import annotations
 
 import functools
+import sys
 import threading
 import types
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -25,7 +37,16 @@ from .runlog import ATOMIC, NONATOMIC, MethodKey, RunLog, RunRecord
 from .state import GraphDifference, StateBackend, StateStats, get_backend
 from .state.introspect import is_opaque, is_scalar
 
-__all__ = ["INJ_WRAPPER_CODE", "InjectionCampaign", "make_injection_wrapper"]
+__all__ = [
+    "INJ_WRAPPER_CODE",
+    "RAISED",
+    "InjectionCampaign",
+    "make_injection_wrapper",
+]
+
+#: The call-exit table's entry for a profiled call that raised: above
+#: every threshold, so such a call always captures its before-state.
+RAISED = sys.maxsize
 
 
 class InjectionCampaign:
@@ -42,8 +63,11 @@ class InjectionCampaign:
 
     * ``enabled=False`` — wrappers call through without any bookkeeping.
     * profiling (``injection_point == 0``) — wrappers count calls and
-      injection points but skip state capture.
-    * detecting (``injection_point > 0``) — full Listing-1 behavior.
+      injection points, record the call-exit table and skip state
+      capture.
+    * detecting (``injection_point > 0``) — Listing-1 behavior, with
+      the before-capture skipped where the call-exit table proves the
+      call returns before the threshold fires.
     """
 
     def __init__(
@@ -64,6 +88,8 @@ class InjectionCampaign:
         #: exceeds it raises CaptureLimitError *instead of* producing a
         #: partial graph, so no truncated-graph verdict can ever be
         #: recorded in the run log; the run surfaces as a genuine failure.
+        #: A call that skips its before-capture (:attr:`call_exits`) is
+        #: not measured against it.
         self.max_graph_nodes = max_graph_nodes
         #: The state backend deciding how before/after summaries are
         #: materialized and compared.  Defaults to the graph backend (the
@@ -95,6 +121,19 @@ class InjectionCampaign:
         #: consults it only while the active backend supports digests, so
         #: graph-backend refinement re-runs bypass it.
         self.digest_cache = None
+        #: The call-exit table of the last profiling run: the point
+        #: counter at the exit of each wrapped call, in call order, or
+        #: :data:`RAISED`.  Empty means every call captures.
+        self.call_exits: List[int] = []
+        #: Wrapped calls entered so far in the current detection run
+        #: (the index into :attr:`call_exits`).
+        self.calls = 0
+        #: Set when an exception other than :class:`InjectionAbort` left
+        #: a frame that skipped its before-capture: the run's record
+        #: misses a verdict and must be re-executed with the table empty.
+        self.capture_missed = False
+        #: Runs re-executed because :attr:`capture_missed` was set.
+        self.capture_reruns = 0
         self.current_run: Optional[RunRecord] = None
         self._suspended = 0
         self._owner_thread: Optional[int] = None
@@ -119,6 +158,7 @@ class InjectionCampaign:
         self._check_thread()
         self.point = 0
         self.injection_point = 0
+        self.call_exits = []
         self.enabled = True
         self.current_run = None
 
@@ -134,6 +174,8 @@ class InjectionCampaign:
         self._check_thread()
         self.point = 0
         self.injection_point = injection_point
+        self.calls = 0
+        self.capture_missed = False
         self.enabled = True
         self.current_run = self.log.begin_run(injection_point)
         return self.current_run
@@ -260,9 +302,10 @@ def make_injection_wrapper(
 
     The wrapper (a) walks the method's injection repertoire, incrementing
     the campaign counter once per potential injection point and raising
-    when the threshold is hit; (b) snapshots the object graph; (c) calls
-    the original method; and (d) on exception, compares before/after
-    graphs, marks the method, and re-throws.
+    when the threshold is hit; (b) snapshots the object graph, unless the
+    call-exit table proves the call returns before the threshold fires;
+    (c) calls the original method; and (d) on exception, compares
+    before/after graphs, marks the method, and re-throws.
     """
     original = spec.func
     exceptions = spec.exceptions
@@ -282,27 +325,51 @@ def make_injection_wrapper(
                     exc_type, method=spec.key, injection_point=campaign.point
                 )
                 campaign.note_injection(spec.key, exc)
-                raise exc
+                try:
+                    raise exc
+                finally:
+                    # The traceback holds this frame: drop the frame's
+                    # reference so the pair is not a reference cycle.
+                    del exc
         if not campaign.detecting:
             escape = campaign.escape_observer
             on_exit = campaign.exit_observer
-            if escape is None and on_exit is None:
-                return original(*args, **kwargs)
+            exits = campaign.call_exits
+            call = len(exits)
+            exits.append(RAISED)
             try:
                 result = original(*args, **kwargs)
             except BaseException:
                 if escape is not None:
                     escape(spec)
                 raise
+            exits[call] = campaign.point
             if on_exit is not None:
                 on_exit(spec)
             return result
-        before = campaign.capture_state(spec, args, kwargs)
+        call = campaign.calls
+        campaign.calls = call + 1
+        threshold = campaign.injection_point
+        exits = campaign.call_exits
+        # The profile returned from this call before the counter reached
+        # the threshold: no exception leaves it, so a before-state would
+        # never be compared.
+        skipped = (
+            campaign.point < threshold
+            and call < len(exits)
+            and exits[call] < threshold
+        )
+        before = None
+        if not skipped:
+            before = campaign.capture_state(spec, args, kwargs)
         try:
             return original(*args, **kwargs)
         except InjectionAbort:
             raise
         except BaseException:
+            if skipped:
+                campaign.capture_missed = True
+                raise
             after = campaign.capture_state(spec, args, kwargs)
             difference = campaign.compare_states(before, after)
             if difference is None:

@@ -4,9 +4,9 @@ Python 3.12's ``sys.monitoring`` delivers per-code-object events from
 inside the interpreter: we arm *local* events on the shared injection
 wrapper code object (``INJ_WRAPPER_CODE``), so wrapper entries,
 returns, and unwinds reach us without the campaign's observer slots
-ever being set — the wrapper's profiling fast path stays the bare
-``return original(*args, **kwargs)``, and uninstrumented code runs at
-full speed because no global events are armed at all.
+ever being set — the wrapper's profiling path calls no observer, and
+uninstrumented code runs at full speed because no global events are
+armed at all.
 
 The callbacks replicate the wrapper's own guards (campaign enabled,
 not suspended, profiling i.e. ``injection_point == 0``) so observers

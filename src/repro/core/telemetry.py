@@ -76,6 +76,11 @@ class CampaignTelemetry:
             ``retries``, which counts per-point re-runs).
         runs_crashed: points marked ``crashed`` after exhausting retries.
         retries: total retry attempts across all points.
+        capture_reruns: executed points run a second time, with every
+            call capturing, because an exception left a call whose
+            before-capture the profile's call-exit table had elided (the
+            subject diverged from its profiling run; 0 when it is
+            deterministic).
         wall_seconds: end-to-end campaign duration.
         runs_per_second: ``runs_executed / wall_seconds`` (0 when unknown).
         phase_seconds: per-phase wall-clock (``profile`` / ``execute`` /
@@ -102,6 +107,7 @@ class CampaignTelemetry:
     runs_derived: int = 0
     runs_crashed: int = 0
     retries: int = 0
+    capture_reruns: int = 0
     static_pure_methods: int = 0
     static_seconds: float = 0.0
     trace_seconds: float = 0.0
@@ -160,7 +166,7 @@ class CampaignTelemetry:
             f"runs={self.runs_executed}/{self.runs_total} "
             f"(resumed={self.runs_resumed}, pruned={self.runs_pruned}, "
             f"derived={self.runs_derived}, crashed={self.runs_crashed}, "
-            f"retries={self.retries})",
+            f"retries={self.retries}, capture_reruns={self.capture_reruns})",
             f"wall={self.wall_seconds:.3f}s "
             f"throughput={self.runs_per_second:.1f} runs/s",
         ]

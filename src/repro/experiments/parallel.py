@@ -402,11 +402,15 @@ _WORKER: Dict[str, Any] = {}
 def _init_worker(
     ref: "ProgramRef",
     options: Dict[str, Any],
+    call_exits: List[int],
     timeout: Optional[float],
     retries: int,
 ) -> None:
     lifetime = ExitStack()
     detector = lifetime.enter_context(Detector.woven(ref.resolve(), **options))
+    # Workers never profile: the parent's call-exit table lets them skip
+    # the before-captures its profile proves unneeded.
+    detector.campaign.call_exits = call_exits
     lifetime.enter_context(detector.digest_cache())
     _WORKER.update(
         detector=detector, lifetime=lifetime, timeout=timeout, retries=retries
@@ -426,7 +430,7 @@ def _run_chunk(task: Tuple[int, List[int]]) -> Dict[str, Any]:
     stats_before = detector.campaign.state_stats.to_dict()
     cache_before = cache.to_dict() if cache is not None else {}
     results: List[Tuple[int, RunRecord, Optional[str], int]] = []
-    detector.execute(
+    tally = detector.execute(
         points,
         {},
         lambda *result: results.append(result),
@@ -439,6 +443,7 @@ def _run_chunk(task: Tuple[int, List[int]]) -> Dict[str, Any]:
         "chunk": chunk_index,
         "worker": os.getpid(),
         "busy_seconds": time.perf_counter() - started,
+        "capture_reruns": tally.capture_reruns,
         "state_stats": {
             key: stats_after[key] - stats_before[key] for key in stats_after
         },
@@ -650,7 +655,13 @@ class ParallelDetector:
             pool = context.Pool(
                 processes=pool_size,
                 initializer=_init_worker,
-                initargs=(self.ref, options, self.timeout, self.retries),
+                initargs=(
+                    self.ref,
+                    options,
+                    plan.call_exits,
+                    self.timeout,
+                    self.retries,
+                ),
             )
             try:
                 for outcome in pool.imap_unordered(_run_chunk, chunks):
@@ -659,6 +670,7 @@ class ParallelDetector:
                         busy.get(worker_id, 0.0) + outcome["busy_seconds"]
                     )
                     state_stats.merge(StateStats(**outcome["state_stats"]))
+                    tally.capture_reruns += outcome["capture_reruns"]
                     for key, count in outcome["cache_stats"].items():
                         cache_stats[key] = cache_stats.get(key, 0) + count
                     for point, record, failure, attempts in outcome["results"]:

@@ -155,6 +155,31 @@ def test_unbudgeted_control_marks_grower_nonatomic():
     assert any("grow_then_fail" in str(method) for method in marked)
 
 
+class FatReader:
+    """Receiver over the budget whose method always returns normally."""
+
+    def __init__(self):
+        self.blobs = [[i] for i in range(40)]
+
+    def peek(self):
+        return len(self.blobs)
+
+
+def _reader_workload():
+    FatReader().peek()
+
+
+def test_skipped_before_capture_cannot_exceed_the_budget():
+    """The edge of before-capture elision: a call the profile proves
+    returns before the threshold fires skips its before-capture, so an
+    over-budget receiver no longer surfaces CaptureLimitError there.
+    The budget still applies to every capture that is taken — those of
+    calls an exception can leave (the tests above)."""
+    result = _detect(FatReader, _reader_workload, max_graph_nodes=30)
+    assert not result.genuine_failures
+    assert result.telemetry.state_captures == 0
+
+
 def test_atomicity_wrapper_budget():
     from repro.core.analyzer import Analyzer
     from repro.core.masking import make_atomicity_wrapper

@@ -29,6 +29,13 @@ def test_every_field_round_trips():
     assert CampaignTelemetry.from_dict(data) == telemetry
 
 
+def test_capture_reruns_round_trips_and_is_summarized():
+    telemetry = CampaignTelemetry(capture_reruns=3)
+    assert CampaignTelemetry.from_dict(telemetry.to_dict()) == telemetry
+    assert CampaignTelemetry.from_dict({}).capture_reruns == 0
+    assert "capture_reruns=3" in telemetry.summary()
+
+
 def test_from_dict_tolerates_old_and_loose_records():
     assert CampaignTelemetry.from_dict(None) == CampaignTelemetry()
     loaded = CampaignTelemetry.from_dict(

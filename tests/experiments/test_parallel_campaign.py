@@ -86,6 +86,20 @@ def test_parallel_telemetry_populated(sequential):
     assert sequential.detection.telemetry.engine == "sequential"
 
 
+def test_pool_workers_receive_the_call_exit_table():
+    """Workers never profile; the parent's call-exit table lets them
+    skip exactly the captures the sequential engine skips."""
+    program = program_by_name("LinkedList")
+    seq = run_app_campaign(program)
+    par = run_app_campaign(program, workers=2)
+    _same_result(seq, par)
+    seq_telemetry = seq.detection.telemetry
+    par_telemetry = par.detection.telemetry
+    assert par_telemetry.state_captures == seq_telemetry.state_captures
+    assert par_telemetry.state_compares == seq_telemetry.state_compares
+    assert par_telemetry.capture_reruns == seq_telemetry.capture_reruns == 0
+
+
 def test_plan_points_shared_helper():
     assert plan_points(5) == [1, 2, 3, 4, 5, 6]
     assert plan_points(5, baseline_run=False) == [1, 2, 3, 4, 5]
