@@ -34,7 +34,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from .analyzer import MethodSpec
 from .exceptions import InjectionAbort, make_injected
 from .runlog import ATOMIC, NONATOMIC, MethodKey, RunLog, RunRecord
-from .state import GraphDifference, StateBackend, StateStats, get_backend
+from .state import (
+    GraphDifference,
+    LiveFrame,
+    StateBackend,
+    StateStats,
+    get_backend,
+)
 from .state.introspect import is_opaque, is_scalar
 
 __all__ = [
@@ -234,32 +240,56 @@ class InjectionCampaign:
         argument is a reference, so we include each argument that holds
         mutable state.  The summary type is backend-specific (a full
         :class:`~repro.core.state.ObjectGraph` or a digest); callers only
-        ever hand it back to :meth:`compare_states`.
+        ever hand it back to :meth:`compare_state`.
+        """
+        with self.suspend():
+            return self._summarize(self.capture_roots(spec, args, kwargs))
+
+    def compare_state(
+        self,
+        before: Any,
+        spec: MethodSpec,
+        args: Tuple[Any, ...],
+        kwargs: Dict[str, Any],
+    ) -> Optional[GraphDifference]:
+        """First difference between *before* and the call's state now.
+
+        A backend with graph semantics compares the before-graph with
+        the live objects (:class:`~repro.core.state.LiveFrame`), as
+        Listing 1 compares its copy with the graph observed when the
+        exception propagates; a digest backend summarizes the state now
+        and compares digests.
         """
         with self.suspend():
             roots = self.capture_roots(spec, args, kwargs)
-            cache = self.digest_cache
-            if cache is not None and getattr(
-                self.backend, "supports_digest_cache", False
-            ):
-                return cache.capture(
-                    self.backend,
+            if self.backend.compares_live:
+                now: Any = LiveFrame(
                     roots,
                     ignore_attrs=self.ignore_attrs,
                     max_nodes=self.max_graph_nodes,
-                    stats=self.state_stats,
                 )
-            return self.backend.capture_frame(
+            else:
+                now = self._summarize(roots)
+            return self.backend.diff(before, now, stats=self.state_stats)
+
+    def _summarize(self, roots: List[Tuple[Any, Any]]) -> Any:
+        cache = self.digest_cache
+        if cache is not None and getattr(
+            self.backend, "supports_digest_cache", False
+        ):
+            return cache.capture(
+                self.backend,
                 roots,
                 ignore_attrs=self.ignore_attrs,
                 max_nodes=self.max_graph_nodes,
                 stats=self.state_stats,
             )
-
-    def compare_states(self, before: Any, after: Any) -> Optional[GraphDifference]:
-        """First difference between two state summaries, or None if equal."""
-        with self.suspend():
-            return self.backend.diff(before, after, stats=self.state_stats)
+        return self.backend.capture_frame(
+            roots,
+            ignore_attrs=self.ignore_attrs,
+            max_nodes=self.max_graph_nodes,
+            stats=self.state_stats,
+        )
 
     def capture_roots(
         self, spec: MethodSpec, args: Tuple[Any, ...], kwargs: Dict[str, Any]
@@ -304,8 +334,8 @@ def make_injection_wrapper(
     the campaign counter once per potential injection point and raising
     when the threshold is hit; (b) snapshots the object graph, unless the
     call-exit table proves the call returns before the threshold fires;
-    (c) calls the original method; and (d) on exception, compares
-    before/after graphs, marks the method, and re-throws.
+    (c) calls the original method; and (d) on exception, compares the
+    snapshot with the state now, marks the method, and re-throws.
     """
     original = spec.func
     exceptions = spec.exceptions
@@ -370,8 +400,7 @@ def make_injection_wrapper(
             if skipped:
                 campaign.capture_missed = True
                 raise
-            after = campaign.capture_state(spec, args, kwargs)
-            difference = campaign.compare_states(before, after)
+            difference = campaign.compare_state(before, spec, args, kwargs)
             if difference is None:
                 campaign.mark(spec.key, ATOMIC)
             else:

@@ -51,6 +51,7 @@ from .graph import (
     CaptureLimitError,
     GraphDifference,
     GraphNode,
+    LiveFrame,
     ObjectGraph,
     capture,
     capture_frame,
@@ -80,6 +81,7 @@ __all__ = [
     "get_backend",
     # graph
     "GraphNode",
+    "LiveFrame",
     "ObjectGraph",
     "CaptureLimitError",
     "capture",

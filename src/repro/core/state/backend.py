@@ -8,6 +8,7 @@ retired.  A backend packages one coherent strategy for those verbs:
 ``GraphBackend``
     Today's semantics: full materialized :class:`ObjectGraph` snapshots
     compared by rooted isomorphism, eager :class:`Checkpoint` rollback.
+    An after-state is compared live (:class:`LiveFrame`), never copied.
     The reference implementation every other backend must agree with.
 
 ``FingerprintBackend``
@@ -98,6 +99,10 @@ class StateBackend:
     lossy_diff: bool = False
     #: ``_repro_kind`` tag stamped on atomicity wrappers using this backend.
     wrapper_kind: str = "atomicity"
+    #: True when :meth:`diff` takes a :class:`~repro.core.state.LiveFrame`
+    #: as its second summary, comparing with the live state instead of a
+    #: second capture.
+    compares_live: bool = False
 
     # -- summaries ----------------------------------------------------
 
@@ -201,6 +206,7 @@ class GraphBackend(StateBackend):
     """Full object-graph snapshots compared by rooted isomorphism."""
 
     name = "graph"
+    compares_live = True
 
     def capture(self, value, *, ignore_attrs=None, max_nodes=None, stats=None):
         started = time.perf_counter()
@@ -328,6 +334,7 @@ class UndoLogBackend(StateBackend):
 
     name = "undolog"
     wrapper_kind = "atomicity-undolog"
+    compares_live = True
 
     _graph_delegate = GraphBackend()
 

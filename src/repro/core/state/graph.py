@@ -9,10 +9,19 @@ An :class:`ObjectGraph` is a fully materialized snapshot: it holds no
 references to the live objects it was captured from, so it doubles as the
 ``deep_copy`` used by the paper's injection wrappers (Listing 1).  Failure
 atomicity of a method is judged by comparing the graph captured before the
-call with the graph captured when an exception propagates out
+call with the graph observed when an exception propagates out
 (Definition 2); :func:`graphs_equal` implements that comparison as a rooted
 isomorphism check that respects edge labels, node types, scalar values, and
-sharing structure.
+sharing structure.  The observed graph need not be copied:
+``graph_diff(before, LiveFrame(roots))`` walks the captured graph and the
+live objects in lockstep and stops at the first difference, with exactly
+the result a second capture and diff would give.
+
+A capture plans per type, not per node:
+:data:`~repro.core.state.introspect.TYPE_PLANS` memoizes whether a type is
+a scalar, opaque or node type, its kind and its type name, and the common
+shapes (exact lists and tuples, plain
+``__dict__`` instances, scalar children) skip the generic child iterator.
 
 Type introspection and the canonical child ordering live in
 :mod:`repro.core.state.introspect`, shared with the fingerprint and
@@ -22,31 +31,36 @@ is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .introspect import (
     KIND_BYTEARRAY,
-    KIND_DEQUE,
-    KIND_DICT,
     KIND_FRAME,
-    KIND_FROZENSET,
-    KIND_LIST,
-    KIND_OBJECT,
     KIND_OPAQUE,
     KIND_SCALAR,
-    KIND_SET,
-    KIND_TUPLE,
     SCALAR_TYPES,
     CaptureLimitError,
+    PLAN_OPAQUE,
+    PLAN_SCALAR,
+    TYPE_PLANS,
     default_ignore,
     is_opaque,
     is_scalar,
     iter_children,
-    kind_of,
     opaque_token,
     safe_repr,
-    type_name,
+    type_plan,
 )
 
 __all__ = [
@@ -59,13 +73,13 @@ __all__ = [
     "graph_diff",
     "graph_diff_all",
     "GraphDifference",
+    "LiveFrame",
     "SCALAR_TYPES",
     "is_scalar",
     "is_opaque",
 ]
 
 
-@dataclass
 class GraphNode:
     """A single node of an :class:`ObjectGraph`.
 
@@ -76,12 +90,42 @@ class GraphNode:
             ``opaque`` nodes, and ``None`` otherwise.
         edges: labeled edges to child node ids.  Labels are small tuples
             such as ``("attr", name)``, ``("index", i)``, ``("key", k)``.
+
+    Slotted, because a capture allocates one per reachable value;
+    nodes compare equal when their four fields do.
     """
 
-    kind: str
-    type_name: str
-    value: Any = None
-    edges: List[Tuple[Tuple[str, Any], int]] = field(default_factory=list)
+    __slots__ = ("kind", "type_name", "value", "edges")
+
+    def __init__(
+        self,
+        kind: str,
+        type_name: str,
+        value: Any = None,
+        edges: Optional[List[Tuple[Tuple[str, Any], int]]] = None,
+    ) -> None:
+        self.kind = kind
+        self.type_name = type_name
+        self.value = value
+        self.edges = [] if edges is None else edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.type_name, self.value, self.edges) == (
+            other.kind,  # type: ignore[attr-defined]
+            other.type_name,  # type: ignore[attr-defined]
+            other.value,  # type: ignore[attr-defined]
+            other.edges,  # type: ignore[attr-defined]
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"GraphNode(kind={self.kind!r}, type_name={self.type_name!r}, "
+            f"value={self.value!r}, edges={self.edges!r})"
+        )
 
 
 class ObjectGraph:
@@ -153,11 +197,85 @@ class ObjectGraph:
             self._describe(child, depth - 1, indent + "    ", lines, seen)
 
 
+#: Shared index labels: a capture allocates no label tuple for a list
+#: index below the cap.  Labels are immutable, so graphs may share them.
+_INDEX_LABELS: List[Tuple[str, int]] = []
+_INDEX_LABELS_MAX = 4096
+
+
+def _index_labels(size: int) -> List[Tuple[str, int]]:
+    """``[("index", 0), ..., ("index", size - 1)]``."""
+    global _INDEX_LABELS
+    labels = _INDEX_LABELS
+    if size > len(labels) and len(labels) < _INDEX_LABELS_MAX:
+        # Grown by rebinding, never in place, so a capture on another
+        # thread always reads a correct prefix.
+        end = min(size, _INDEX_LABELS_MAX)
+        labels = labels + [("index", i) for i in range(len(labels), end)]
+        _INDEX_LABELS = labels
+    if size <= len(labels):
+        return labels[:size]
+    return labels + [("index", i) for i in range(len(labels), size)]
+
+
+#: ``__dict__`` key order -> the attribute labels and names to read, for
+#: the default filter (a pure function of the name).  Instances of one
+#: class usually share a key order, so the sort and the filter run once
+#: per layout.
+_ATTR_LAYOUTS: Dict[
+    Tuple[str, ...], Tuple[List[Tuple[str, str]], List[str]]
+] = {}
+_ATTR_LAYOUTS_MAX = 4096
+
+
+def _attr_layout(
+    obj_dict: Dict[str, Any], ignore_attrs: Callable[[str], bool]
+) -> Tuple[List[Tuple[str, str]], List[str]]:
+    """The labels and names of a plain ``__dict__``'s children, in the
+    order :func:`~repro.core.state.introspect.iter_children` yields."""
+    names = [name for name in sorted(obj_dict) if not ignore_attrs(name)]
+    return [("attr", name) for name in names], names
+
+
+def _fast_children(
+    obj: Any,
+    plan: Tuple[int, str, str, bool],
+    ignore_attrs: Callable[[str], bool],
+) -> Optional[Tuple[Sequence[Tuple[str, Any]], Sequence[Any]]]:
+    """The edge labels and child values of an exact ``list``/``tuple`` or
+    a plain ``__dict__`` instance (the common shapes), in the order
+    :func:`~repro.core.state.introspect.iter_children` yields them; None
+    for any other value."""
+    cls = type(obj)
+    if cls is list or cls is tuple:
+        return _index_labels(len(obj)), obj
+    if not plan[3]:
+        return None
+    obj_dict = getattr(obj, "__dict__", None)
+    if type(obj_dict) is not dict:
+        return None
+    layout = None
+    if ignore_attrs is default_ignore:
+        keys = tuple(obj_dict)
+        layout = _ATTR_LAYOUTS.get(keys)
+    if layout is None:
+        layout = _attr_layout(obj_dict, ignore_attrs)
+        if ignore_attrs is default_ignore and (
+            len(_ATTR_LAYOUTS) < _ATTR_LAYOUTS_MAX
+        ):
+            _ATTR_LAYOUTS[keys] = layout
+    labels, names = layout
+    return labels, [obj_dict[name] for name in names]
+
+
 class _Capturer:
     """Iterative, aliasing-preserving graph capture.
 
-    The traversal is explicit-stack based so that deep structures such as
-    long linked lists do not exhaust the interpreter recursion limit.
+    Node ids are assigned in entry order: a node's children are entered
+    (numbered) together when the node is expanded, and the last entered
+    node is expanded first.  The traversal is explicit-stack based so
+    that deep structures such as long linked lists do not exhaust the
+    interpreter recursion limit.
     """
 
     def __init__(
@@ -174,7 +292,9 @@ class _Capturer:
         self._pins: List[Any] = []
 
     def capture(self, value: Any) -> ObjectGraph:
-        self._graph.root = self._visit(value)
+        edges: List[Tuple[Any, int]] = []
+        self._visit([(None, value)], edges)
+        self._graph.root = edges[0][1]
         return self._graph
 
     def capture_many(self, label_values: Iterable[Tuple[Any, Any]]) -> ObjectGraph:
@@ -184,69 +304,66 @@ class _Capturer:
         labeled edge from the frame root.  Used for capturing a receiver
         together with its mutable arguments.
         """
-        frame = GraphNode(kind=KIND_FRAME, type_name="<frame>")
-        root_id = self._graph.add_node(frame)
-        self._graph.root = root_id
+        frame = GraphNode(KIND_FRAME, "<frame>")
+        self._graph.root = self._graph.add_node(frame)
         for key, value in label_values:
-            child = self._visit(value)
-            frame.edges.append((("slot", key), child))
+            # each root is expanded in full before the next is entered
+            self._visit([(("slot", key), value)], frame.edges)
         return self._graph
 
-    # -- traversal ---------------------------------------------------
-
-    def _visit(self, value: Any) -> int:
-        """Capture *value*, returning its node id (two-phase, iterative)."""
-        pending: List[Tuple[Any, int]] = []
-        node_id = self._enter(value, pending)
-        while pending:
-            obj, nid = pending.pop()
-            self._expand(obj, nid, pending)
-        return node_id
-
-    def _enter(self, value: Any, pending: List[Tuple[Any, int]]) -> int:
-        """Create (or reuse) a node for *value*; queue expansion if needed."""
-        if self._max_nodes is not None and len(self._graph) >= self._max_nodes:
-            raise CaptureLimitError(
-                f"object graph exceeds {self._max_nodes} nodes"
-            )
-        if is_scalar(value):
-            # Scalars are compared by value; interning makes identity
-            # meaningless, so each occurrence gets its own leaf node.
-            node = GraphNode(
-                kind=KIND_SCALAR, type_name=type(value).__name__, value=value
-            )
-            return self._graph.add_node(node)
-        oid = id(value)
-        if oid in self._seen:
-            return self._seen[oid]
-        if is_opaque(value):
-            node = GraphNode(
-                kind=KIND_OPAQUE,
-                type_name=type(value).__name__,
-                value=opaque_token(value),
-            )
-            nid = self._graph.add_node(node)
-            self._seen[oid] = nid
-            self._pins.append(value)
-            return nid
-        kind = kind_of(value)
-        node = GraphNode(kind=kind, type_name=type_name(value))
-        nid = self._graph.add_node(node)
-        self._seen[oid] = nid
-        self._pins.append(value)
-        pending.append((value, nid))
-        return nid
-
-    def _expand(self, obj: Any, nid: int, pending: List[Tuple[Any, int]]) -> None:
-        node = self._graph.nodes[nid]
-        if node.kind == KIND_BYTEARRAY:
-            node.value = bytes(obj)
-            return
-        for label, child_value in iter_children(
-            obj, node.kind, self._ignore_attrs
-        ):
-            child = self._enter(child_value, pending)
-            node.edges.append((label, child))
+    def _visit(
+        self, items: Iterable[Tuple[Any, Any]], edges: List[Tuple[Any, int]]
+    ) -> None:
+        """Enter *items* as *edges*, then expand every node they reach."""
+        nodes = self._graph.nodes
+        add = nodes.append
+        seen = self._seen
+        pin = self._pins.append
+        ignore_attrs = self._ignore_attrs
+        max_nodes = self._max_nodes
+        plans = TYPE_PLANS
+        pending: List[Tuple[Any, GraphNode, Tuple[int, str, str, bool]]] = []
+        while True:
+            link = edges.append
+            for label, child in items:
+                if max_nodes is not None and len(nodes) >= max_nodes:
+                    raise CaptureLimitError(
+                        f"object graph exceeds {max_nodes} nodes"
+                    )
+                plan = plans.get(type(child)) or type_plan(child)
+                category = plan[0]
+                if category == PLAN_SCALAR:
+                    # Scalars are compared by value; interning makes
+                    # identity meaningless, so each occurrence gets its
+                    # own leaf node.
+                    link((label, len(nodes)))
+                    add(GraphNode(KIND_SCALAR, plan[2], child))
+                    continue
+                oid = id(child)
+                node_id = seen.get(oid)
+                if node_id is None:
+                    node_id = seen[oid] = len(nodes)
+                    pin(child)
+                    if category == PLAN_OPAQUE:
+                        add(GraphNode(KIND_OPAQUE, plan[2], opaque_token(child)))
+                    else:
+                        node = GraphNode(plan[1], plan[2])
+                        add(node)
+                        pending.append((child, node, plan))
+                link((label, node_id))
+            if not pending:
+                return
+            obj, node, plan = pending.pop()
+            edges = node.edges
+            if plan[1] == KIND_BYTEARRAY:
+                node.value = bytes(obj)
+                items = ()
+                continue
+            shape = _fast_children(obj, plan, ignore_attrs)
+            if shape is None:
+                items = iter_children(obj, plan[1], ignore_attrs)
+            else:
+                items = zip(*shape)
 
 
 def capture(
@@ -307,10 +424,41 @@ def graphs_equal(a: ObjectGraph, b: ObjectGraph) -> bool:
     return graph_diff(a, b) is None
 
 
-def graph_diff(a: ObjectGraph, b: ObjectGraph) -> Optional[GraphDifference]:
-    """Return the first difference between graphs, or None if equal."""
+def graph_diff(
+    a: ObjectGraph, b: Union[ObjectGraph, "LiveFrame"]
+) -> Optional[GraphDifference]:
+    """Return the first difference between graphs, or None if equal.
+
+    *b* may be a :class:`LiveFrame`: the result is then exactly
+    ``graph_diff(a, capture_frame(...))`` of the frame's roots, found by
+    walking the live objects without building that graph.
+    """
+    if isinstance(b, LiveFrame):
+        if b.max_nodes is not None:
+            # The budget is defined on the materialized graph, and an
+            # over-budget after-state must raise even when a difference
+            # shows early: capture it in full.
+            b = capture_frame(
+                b.roots, ignore_attrs=b.ignore_attrs, max_nodes=b.max_nodes
+            )
+        else:
+            return _diff_live(a, b)
     differences = graph_diff_all(a, b, limit=1)
     return differences[0] if differences else None
+
+
+#: A diff queue entry's path, kept as a parent link: ``(parent, label)``,
+#: ``None`` at the root.  The string is built only for a reported
+#: difference.
+_Trail = Optional[Tuple[Any, Tuple[str, Any]]]
+
+
+def _path(trail: _Trail) -> str:
+    parts = []
+    while trail is not None:
+        trail, label = trail
+        parts.append(f"/{label[0]}={safe_repr(label[1])}")
+    return "".join(reversed(parts))
 
 
 def graph_diff_all(
@@ -324,85 +472,212 @@ def graph_diff_all(
     deciding whether a non-atomic method has one defect or several.
     """
     differences: List[GraphDifference] = []
-    # Parallel BFS maintaining a bijection between mutable node ids.
+    # Parallel DFS maintaining a bijection between mutable node ids.
     a_to_b: Dict[int, int] = {}
     b_to_a: Dict[int, int] = {}
-    queue: List[Tuple[int, int, str]] = [(a.root, b.root, "")]
+    queue: List[Tuple[int, int, _Trail]] = [(a.root, b.root, None)]
 
-    def note(path: str, reason: str) -> bool:
+    def note(trail: _Trail, reason: str) -> bool:
         """Record a difference; return True when the limit is reached."""
-        differences.append(GraphDifference(path, reason))
+        differences.append(GraphDifference(_path(trail), reason))
         return len(differences) >= limit
 
     while queue:
-        na_id, nb_id, path = queue.pop()
+        na_id, nb_id, trail = queue.pop()
         na = a.nodes[na_id]
         nb = b.nodes[nb_id]
         if na.kind == KIND_SCALAR or nb.kind == KIND_SCALAR:
-            diff = _compare_scalars(na, nb, path)
-            if diff is not None and note(diff.path, diff.reason):
+            reason = _scalar_difference(na, nb.kind, nb.type_name, nb.value)
+            if reason is not None and note(trail, reason):
                 return differences
             continue
         mapped = a_to_b.get(na_id)
         if mapped is not None:
-            if mapped != nb_id and note(path, "sharing structure differs"):
+            if mapped != nb_id and note(trail, "sharing structure differs"):
                 return differences
             continue  # already compared through another path
         if nb_id in b_to_a:
-            if note(path, "sharing structure differs"):
+            if note(trail, "sharing structure differs"):
                 return differences
             continue
         a_to_b[na_id] = nb_id
         b_to_a[nb_id] = na_id
-        if na.kind != nb.kind:
-            if note(path, f"kind {na.kind} != {nb.kind}"):
+        reason = _node_difference(na, nb.kind, nb.type_name, nb.value)
+        if reason is None and len(na.edges) != len(nb.edges):
+            reason = f"child count {len(na.edges)} != {len(nb.edges)}"
+        if reason is None:
+            for (label_a, _), (label_b, _) in zip(na.edges, nb.edges):
+                if label_a != label_b:
+                    reason = _label_difference(label_a, label_b)
+                    break
+        if reason is not None:
+            if note(trail, reason):
                 return differences
-            continue
-        if na.type_name != nb.type_name:
-            if note(path, f"type {na.type_name} != {nb.type_name}"):
-                return differences
-            continue
-        if na.kind in (KIND_OPAQUE, KIND_BYTEARRAY) and na.value != nb.value:
-            if note(path, f"value {na.value!r} != {nb.value!r}"):
-                return differences
-            continue
-        if len(na.edges) != len(nb.edges):
-            if note(
-                path, f"child count {len(na.edges)} != {len(nb.edges)}"
-            ):
-                return differences
-            continue
-        labels_match = True
-        for (label_a, _), (label_b, _) in zip(na.edges, nb.edges):
-            if label_a != label_b:
-                labels_match = False
-                # safe_repr: a dict-key label embeds the raw key object,
-                # whose __repr__ may raise — the diff must not.
-                if note(
-                    path,
-                    f"edge label {safe_repr(label_a)} != {safe_repr(label_b)}",
-                ):
-                    return differences
-                break
-        if not labels_match:
             continue
         for (label_a, child_a), (_, child_b) in zip(na.edges, nb.edges):
-            queue.append(
-                (child_a, child_b, f"{path}/{label_a[0]}={safe_repr(label_a[1])}")
-            )
+            queue.append((child_a, child_b, (trail, label_a)))
     return differences
 
 
-def _compare_scalars(
-    na: GraphNode, nb: GraphNode, path: str
-) -> Optional[GraphDifference]:
-    if na.kind != nb.kind:
-        return GraphDifference(path, f"kind {na.kind} != {nb.kind}")
-    if na.type_name != nb.type_name:
-        return GraphDifference(path, f"type {na.type_name} != {nb.type_name}")
-    va, vb = na.value, nb.value
+def _scalar_difference(
+    na: GraphNode, kind: str, type_name: str, value: Any
+) -> Optional[str]:
+    """Why scalar *na* differs from a node ``(kind, type_name, value)``
+    (one of the two is a scalar), or None."""
+    if na.kind != kind:
+        return f"kind {na.kind} != {kind}"
+    if na.type_name != type_name:
+        return f"type {na.type_name} != {type_name}"
+    va = na.value
     # bool is an int subclass; type_name already separated them.  NaN is
     # deliberately equal to itself here: the *state* did not change.
-    if va != vb and not (va != va and vb != vb):
-        return GraphDifference(path, f"value {va!r} != {vb!r}")
+    if va != value and not (va != va and value != value):
+        return f"value {va!r} != {value!r}"
+    return None
+
+
+def _node_difference(
+    na: GraphNode, kind: str, type_name: str, value: Any
+) -> Optional[str]:
+    """Why non-scalar *na* differs from a node ``(kind, type_name,
+    value)`` before their edges are compared, or None."""
+    if na.kind != kind:
+        return f"kind {na.kind} != {kind}"
+    if na.type_name != type_name:
+        return f"type {na.type_name} != {type_name}"
+    if na.kind in (KIND_OPAQUE, KIND_BYTEARRAY) and na.value != value:
+        return f"value {na.value!r} != {value!r}"
+    return None
+
+
+def _label_difference(label_a: Tuple[str, Any], label_b: Tuple[str, Any]) -> str:
+    # safe_repr: a dict-key label embeds the raw key object, whose
+    # __repr__ may raise — the diff must not.
+    return f"edge label {safe_repr(label_a)} != {safe_repr(label_b)}"
+
+
+class LiveFrame:
+    """Live labeled roots as the second operand of :func:`graph_diff`.
+
+    ``graph_diff(before, LiveFrame(roots))`` compares a captured graph
+    with the state the roots reach *now*: the paper's Listing 1 compares
+    its deep copy with "the graph observed when an exception
+    propagates", and this is that comparison, without a second copy.
+    The arguments mean what they mean to :func:`capture_frame`; with a
+    *max_nodes* budget the comparison captures the frame in full, so an
+    over-budget state raises :class:`CaptureLimitError` exactly as the
+    capture would.
+    """
+
+    __slots__ = ("roots", "ignore_attrs", "max_nodes")
+
+    def __init__(
+        self,
+        label_values: Iterable[Tuple[Any, Any]],
+        *,
+        ignore_attrs: Optional[Callable[[str], bool]] = None,
+        max_nodes: Optional[int] = None,
+    ) -> None:
+        self.roots = list(label_values)
+        self.ignore_attrs = ignore_attrs
+        self.max_nodes = max_nodes
+
+
+def _diff_live(a: ObjectGraph, frame: LiveFrame) -> Optional[GraphDifference]:
+    """``graph_diff(a, capture_frame(frame.roots))``, walking the live
+    objects in the order :func:`graph_diff_all` walks the captured graph.
+
+    A live non-scalar stands for the one node a capture would give it,
+    so the bijection maps node ids to ``id()`` values; every object
+    visited is pinned so those stay unique.  The walk stops at the
+    first difference.
+    """
+    nodes = a.nodes
+    ignore_attrs = frame.ignore_attrs or default_ignore
+    plans = TYPE_PLANS
+    a_to_b: Dict[int, int] = {}
+    b_seen = {id(frame)}
+    pins: List[Any] = [frame]
+    pin = pins.append
+    queue: List[Tuple[int, Any, _Trail]] = []
+    push = queue.append
+    pop = queue.pop
+
+    node: Optional[GraphNode] = nodes[a.root]
+    trail: _Trail = None
+    if node.kind == KIND_SCALAR:
+        reason = _scalar_difference(node, KIND_FRAME, "<frame>", None)
+    else:
+        a_to_b[a.root] = id(frame)
+        reason = _node_difference(node, KIND_FRAME, "<frame>", None)
+    if reason is not None:
+        return GraphDifference("", reason)
+    labels: Sequence[Tuple[str, Any]] = [("slot", key) for key, _ in frame.roots]
+    values: Sequence[Any] = [value for _, value in frame.roots]
+    while node is not None:
+        # *node* matched its live counterpart: compare the edges, queue
+        # the children, then find the next matched pair with edges.
+        edges = node.edges
+        if len(edges) != len(values):
+            reason = f"child count {len(edges)} != {len(values)}"
+            return GraphDifference(_path(trail), reason)
+        for (label_a, child_a), label_b, value in zip(edges, labels, values):
+            if label_a != label_b:
+                reason = _label_difference(label_a, label_b)
+                return GraphDifference(_path(trail), reason)
+            child = nodes[child_a]
+            if child.kind == KIND_SCALAR:
+                # An equal scalar pair changes nothing the walk keeps, so
+                # it is settled here; any other pair waits its turn.
+                plan = plans.get(type(value))
+                if plan is not None and plan[2] == child.type_name and (
+                    plan[0] == PLAN_SCALAR
+                ):
+                    va = child.value
+                    if not (va != value and not (va != va and value != value)):
+                        continue
+            push((child_a, value, (trail, label_a)))
+        node = None
+        while queue:
+            na_id, obj, trail = pop()
+            na = nodes[na_id]
+            plan = plans.get(type(obj)) or type_plan(obj)
+            category = plan[0]
+            if category == PLAN_SCALAR or na.kind == KIND_SCALAR:
+                reason = _scalar_difference(na, plan[1], plan[2], obj)
+                if reason is not None:
+                    return GraphDifference(_path(trail), reason)
+                continue
+            oid = id(obj)
+            mapped = a_to_b.get(na_id)
+            if mapped is not None:
+                if mapped != oid:
+                    return GraphDifference(
+                        _path(trail), "sharing structure differs"
+                    )
+                continue  # already compared through another path
+            if oid in b_seen:
+                return GraphDifference(_path(trail), "sharing structure differs")
+            a_to_b[na_id] = oid
+            b_seen.add(oid)
+            pin(obj)
+            kind = plan[1]
+            value = None
+            if category == PLAN_OPAQUE:
+                value = opaque_token(obj)
+            elif kind == KIND_BYTEARRAY:
+                value = bytes(obj)
+            reason = _node_difference(na, kind, plan[2], value)
+            if reason is not None:
+                return GraphDifference(_path(trail), reason)
+            if value is not None:
+                labels = values = ()
+            else:
+                shape = _fast_children(obj, plan, ignore_attrs)
+                if shape is None:
+                    pairs = list(iter_children(obj, kind, ignore_attrs))
+                    shape = [label for label, _ in pairs], [v for _, v in pairs]
+                labels, values = shape
+            node = na
+            break
     return None

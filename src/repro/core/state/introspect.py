@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import collections as _collections
 import types as _types
-from typing import Any, Callable, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 __all__ = [
     "SCALAR_TYPES",
@@ -51,6 +51,11 @@ __all__ = [
     "default_ignore",
     "kind_of",
     "iter_children",
+    "PLAN_SCALAR",
+    "PLAN_OPAQUE",
+    "PLAN_NODE",
+    "TYPE_PLANS",
+    "type_plan",
 ]
 
 
@@ -76,6 +81,8 @@ SCALAR_TYPES = (
     str,
     bytes,
 )
+
+_EXACT_SCALARS = frozenset(SCALAR_TYPES)
 
 #: Kind tags shared by graph nodes and fingerprint records.
 KIND_SCALAR = "scalar"
@@ -208,10 +215,13 @@ def scalar_sort_key(value: Any) -> Tuple[str, str]:
     captures of the same set could disagree.  ``int.__repr__(value)``
     etc. read the underlying value directly and never raise.
     """
+    cls = type(value)
+    if cls in _EXACT_SCALARS:
+        return (cls.__name__, cls.__repr__(value))
     for base in SCALAR_TYPES:
         if isinstance(value, base):
-            return (type(value).__name__, base.__repr__(value))
-    return (type(value).__name__, safe_repr(value))
+            return (cls.__name__, base.__repr__(value))
+    return (cls.__name__, safe_repr(value))
 
 
 def default_ignore(name: str) -> bool:
@@ -227,6 +237,48 @@ def kind_of(value: Any) -> str:
         if isinstance(value, container_type):
             return container_kind
     return KIND_OBJECT
+
+
+#: :func:`type_plan` categories: how a capture treats a value.
+PLAN_SCALAR, PLAN_OPAQUE, PLAN_NODE = 0, 1, 2
+
+#: Per-type plan memo: ``type -> (category, kind, type name, plain)``.
+#: Hot loops read it directly and call :func:`type_plan` on a miss.
+#: Bounded because fuzz campaigns synthesize classes without limit.
+TYPE_PLANS: Dict[type, Tuple[int, str, str, bool]] = {}
+_TYPE_PLANS_MAX = 4096
+
+
+def type_plan(value: Any) -> Tuple[int, str, str, bool]:
+    """How a capture treats *value*: ``(category, kind, type name, plain)``.
+
+    * *category* is :data:`PLAN_SCALAR`, :data:`PLAN_OPAQUE` or
+      :data:`PLAN_NODE` (:func:`is_scalar`, :func:`is_opaque`, neither);
+    * *kind* is the graph node's kind tag (:func:`kind_of` for nodes);
+    * *type name* is the node's ``type_name``: the bare class name for
+      scalar and opaque leaves, :func:`type_name` for nodes;
+    * *plain* is True for ``KIND_OBJECT`` types without ``__slots__``,
+      whose children are exactly their sorted ``__dict__`` entries.
+
+    All four are functions of the exact runtime type, so the answer is
+    memoized in :data:`TYPE_PLANS` -- except for classes that override
+    ``__class__``, which ``isinstance`` consults per instance.  A class
+    renamed after its first capture keeps the name it had then.
+    """
+    cls = type(value)
+    if is_scalar(value):
+        plan = (PLAN_SCALAR, KIND_SCALAR, cls.__name__, False)
+    elif is_opaque(value):
+        plan = (PLAN_OPAQUE, KIND_OPAQUE, cls.__name__, False)
+    else:
+        kind = kind_of(value)
+        plain = kind == KIND_OBJECT and not slot_names(cls)
+        plan = (PLAN_NODE, kind, type_name(value), plain)
+    if len(TYPE_PLANS) < _TYPE_PLANS_MAX and not any(
+        "__class__" in vars(klass) for klass in cls.__mro__[:-1]
+    ):
+        TYPE_PLANS[cls] = plan
+    return plan
 
 
 def _iter_object_attrs(
@@ -250,11 +302,14 @@ def _iter_object_attrs(
 def _iter_dict_items(obj: dict) -> Iterator[Tuple[Tuple[str, Any], Any]]:
     scalar_items = []
     other_items = []
-    for key, val in obj.items():
-        if is_scalar(key):
-            scalar_items.append((key, val))
+    plans = TYPE_PLANS
+    for item in obj.items():
+        key = item[0]
+        plan = plans.get(type(key)) or type_plan(key)
+        if plan[0] == PLAN_SCALAR:
+            scalar_items.append(item)
         else:
-            other_items.append((key, val))
+            other_items.append(item)
     # Scalar-keyed entries are labeled by key value and sorted so that
     # insertion order does not affect state equality: the *mapping* is
     # the state, not the ordering bookkeeping.

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple
 
 from ..analyzer import KIND_CONSTRUCTOR, KIND_METHOD, MethodSpec
+from ..virtualsource import parse_source
 
 __all__ = [
     "EffectReport",
@@ -119,7 +120,7 @@ def function_ast(func) -> Optional[ast.FunctionDef]:
     except (OSError, TypeError):
         return None
     try:
-        tree = ast.parse(textwrap.dedent(source))
+        tree = parse_source(textwrap.dedent(source))
     except (SyntaxError, ValueError):
         return None
     if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):

@@ -33,6 +33,8 @@ import inspect
 import textwrap
 from typing import Dict, Optional, Tuple
 
+from ..virtualsource import parse_source
+
 __all__ = ["TransparencyIndex"]
 
 _GUARD_NODES = tuple(
@@ -60,7 +62,7 @@ def _guarded_spans(code) -> _Spans:
     except (OSError, TypeError):
         return None
     try:
-        tree = ast.parse(textwrap.dedent("".join(lines)))
+        tree = parse_source(textwrap.dedent("".join(lines)))
     except (SyntaxError, ValueError):
         return None
     spans = []

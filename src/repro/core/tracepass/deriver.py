@@ -14,16 +14,16 @@ So the program state at the moment point *p* (belonging to wrapper entry
 reference execution — no later statement has run yet.  The mark an
 enclosing wrapper *W* would record in run *p* is therefore::
 
-    diff(capture(W's roots at W's entry), capture(W's roots at E's entry))
+    diff(capture(W's roots at W's entry), W's roots live at E's entry)
 
-both of which this pass captures during the ONE profiling run.  The
+both of which this pass observes during the ONE profiling run.  The
 trace-derived record for *p* is then
 
 * one mark per genuine exception that escaped a wrapped call *before*
   *E* in the trace (the "ambient" marks — a dynamic run for *p* replays
   those failures identically and records the identical verdicts, since
-  the dynamic after-capture happens at the same program moment as this
-  pass's escape-time recapture), in chronological order, followed by
+  the dynamic after-compare happens at the same program moment as this
+  pass's escape-time compare), in chronological order, followed by
 * one mark per enclosing wrapper of *E*, innermost first (propagation
   order of the injected exception).
 
@@ -47,12 +47,13 @@ construction, never by luck.  Verdicts come in three flavors:
 * **zero-writes fast path** — the receiver's reachable state was
   barrier-covered at *W*'s entry (:func:`~.recorder.barrier_covered`)
   and the :class:`~.recorder.TraceRecorder` sequence is unchanged:
-  atomic without a recapture;
-* **recapture-equal** — the graph recapture at *E*'s entry equals *W*'s
-  entry capture: atomic (this is how handler-compensated writes — state
+  atomic without a compare;
+* **live-equal** — the roots' live state at *E*'s entry equals *W*'s
+  entry capture (compared in place, :class:`~repro.core.state.LiveFrame`):
+  atomic (this is how handler-compensated writes — state
   restored by a finally/except block before the exception crossed *W* —
   are recognized as atomic, exactly as a dynamic run would);
-* **recapture-differs** — an unreversed write precedes the point:
+* **live-differs** — an unreversed write precedes the point:
   non-atomic, with the same ``GraphDifference`` string a dynamic run
   under the graph backend would record.
 
@@ -68,14 +69,14 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analyzer import MethodSpec
 from ..exceptions import is_injected, make_injected
 from ..injection import INJ_WRAPPER_CODE, InjectionCampaign
 from ..instrument.protocol import EventObserver
 from ..runlog import ATOMIC, NONATOMIC, RunRecord
-from ..state import CaptureLimitError, StateStats, get_backend
+from ..state import CaptureLimitError, LiveFrame, StateStats, get_backend
 from ..staticpass.pruner import (
     PROFILE_BOUNDARY_CODE,
     StaticPruner,
@@ -326,36 +327,38 @@ class TraceDeriver(EventObserver):
             covered=covered,
         )
 
-    def _capture(self, roots) -> Any:
-        """Graph capture under suspension; None when over budget.
+    def _lifted(self, step: Callable[[Optional[int]], Any]) -> Any:
+        """``step(budget)`` under suspension, with the adaptive lift.
 
         Budget overruns retry once with a doubled budget (the adaptive
         lift of ROADMAP item 1): the deriver's captures exist only to
         compare against each other, so a wider budget costs nothing in
-        soundness — a span the budget still defeats falls back to
-        execution with reason ``capture`` exactly as before, and
-        ``capture_retries`` records how often the lift was attempted.
+        soundness — a span the budget still defeats (the retry raises
+        :class:`CaptureLimitError` too) falls back to execution with
+        reason ``capture`` exactly as before, and ``capture_retries``
+        records how often the lift was attempted.
         """
         budget = self.campaign.max_graph_nodes
         with self.campaign.suspend():
             try:
-                return self._graph.capture_frame(
+                return step(budget)
+            except CaptureLimitError:
+                self.capture_retries += 1
+                return step(budget * 2)
+
+    def _capture(self, roots) -> Any:
+        """Graph capture of *roots*; None when over budget."""
+        try:
+            return self._lifted(
+                lambda budget: self._graph.capture_frame(
                     roots,
                     ignore_attrs=self.campaign.ignore_attrs,
                     max_nodes=budget,
                     stats=self.stats,
                 )
-            except CaptureLimitError:
-                self.capture_retries += 1
-                try:
-                    return self._graph.capture_frame(
-                        roots,
-                        ignore_attrs=self.campaign.ignore_attrs,
-                        max_nodes=budget * 2,
-                        stats=self.stats,
-                    )
-                except CaptureLimitError:
-                    return None
+            )
+        except CaptureLimitError:
+            return None
 
     def _verdict(self, entry: _ActiveEntry) -> Optional[_MarkTuple]:
         """The mark *entry*'s wrapper would record if an exception
@@ -369,11 +372,20 @@ class TraceDeriver(EventObserver):
             and self.recorder.sequence == entry.write_seq
         ):
             return (entry.spec.key, ATOMIC, None)
-        now = self._capture(entry.roots)
-        if now is None:
+        try:
+            difference = self._lifted(
+                lambda budget: self._graph.diff(
+                    entry.capture,
+                    LiveFrame(
+                        entry.roots,
+                        ignore_attrs=self.campaign.ignore_attrs,
+                        max_nodes=budget,
+                    ),
+                    stats=self.stats,
+                )
+            )
+        except CaptureLimitError:
             return None
-        with self.campaign.suspend():
-            difference = self._graph.diff(entry.capture, now, stats=self.stats)
         if difference is None:
             return (entry.spec.key, ATOMIC, None)
         return (entry.spec.key, NONATOMIC, str(difference))
@@ -407,7 +419,7 @@ class TraceDeriver(EventObserver):
             for entry in reversed(self._stack):  # innermost first
                 mark = self._verdict(entry)
                 if mark is None:
-                    reason = "capture"  # R3: entry capture/recapture failed
+                    reason = "capture"  # R3: entry capture/compare over budget
                     break
                 marks.append(mark)
         self.spans.append(

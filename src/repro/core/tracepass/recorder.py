@@ -21,8 +21,9 @@ reachable from the captured roots is either immutable or an instance of
 a barriered class.  Any mutation of a covered root set must pass
 through the barrier, so "no events recorded since entry" is then a
 sound proof that the reachable state is unchanged.  Root sets that a
-stray list or foreign object makes uncoverable simply fall back to a
-state recapture, which is sound unconditionally.
+stray list or foreign object makes uncoverable simply fall back to
+comparing the entry capture with the live state, which is sound
+unconditionally.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.virtualsource import (
+    parse_source,
     register_virtual_source,
     unregister_virtual_source,
 )
@@ -146,7 +147,7 @@ def _class_variant_source(cls: type, recipe, tag: int):
         source = textwrap.dedent(inspect.getsource(cls))
     except (OSError, TypeError):
         return None
-    tree = ast.parse(source)
+    tree = parse_source(source)
     class_node = next(
         (n for n in tree.body if isinstance(n, ast.ClassDef)), None
     )

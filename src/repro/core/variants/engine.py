@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..virtualsource import parse_source
 from .rules import (
     RULES,
     TransformContext,
@@ -148,7 +149,7 @@ def transform_source(
         input).
     """
     rules: List[TransformRule] = [rule_by_name(name) for name in recipe]
-    tree = ast.parse(source)
+    tree = parse_source(source)
     wanted = set(class_names) if class_names is not None else None
     applied: List[AppliedTransform] = []
     helper_keys: List[str] = []

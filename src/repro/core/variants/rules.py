@@ -31,6 +31,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..virtualsource import parse_source
+
 __all__ = [
     "RULES",
     "TransformContext",
@@ -238,7 +240,7 @@ def _targets_equal(a: ast.expr, b: ast.expr) -> bool:
 
 
 def _load(target: ast.expr) -> ast.expr:
-    clone = ast.parse(ast.unparse(target), mode="eval").body
+    clone = parse_source(ast.unparse(target), mode="eval").body
     for sub in ast.walk(clone):
         if hasattr(sub, "ctx"):
             sub.ctx = ast.Load()
@@ -516,7 +518,7 @@ def _aug_expand_apply(
     for suite, index in _aug_expand_sites(fn):
         stmt: ast.AugAssign = suite[index]
         target = stmt.target
-        store = ast.parse(ast.unparse(target), mode="eval").body
+        store = parse_source(ast.unparse(target), mode="eval").body
         for sub in ast.walk(store):
             if hasattr(sub, "ctx"):
                 sub.ctx = ast.Store()

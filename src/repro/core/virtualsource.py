@@ -15,13 +15,19 @@ angle-bracket convention matters: ``inspect.getsource`` only consults
 ``linecache`` for filenames of the form ``<...>`` (anything else must
 exist on disk), and ``linecache.checkcache`` purges entries whose
 filename looks like a real path that no longer exists.
+
+:func:`parse_source` is the one way the package builds an AST from
+source text, generated or not: see its docstring for why it locks.
 """
 
 from __future__ import annotations
 
+import ast
 import linecache
+import threading
 
 __all__ = [
+    "parse_source",
     "register_virtual_source",
     "unregister_virtual_source",
     "virtual_source_registered",
@@ -64,3 +70,22 @@ def unregister_virtual_source(filename: str) -> None:
 def virtual_source_registered(filename: str) -> bool:
     """True when *filename* currently resolves in the registry."""
     return filename in linecache.cache
+
+
+#: Serializes every AST build in the process (see :func:`parse_source`).
+_PARSE_LOCK = threading.Lock()
+
+
+def parse_source(source: str, mode: str = "exec") -> ast.AST:
+    """``ast.parse(source, mode=mode)`` under one process-wide lock.
+
+    CPython 3.11 keeps the AST constructor's recursion-depth counter in
+    interpreter-wide state, so two threads converting syntax trees at
+    once can fail with ``SystemError: AST constructor recursion depth
+    mismatch``.  ``repro serve`` parses a submission on its event-loop
+    thread (the admission cost estimate) while its campaign thread
+    parses method sources (the static and transparency passes); every
+    parse in the package goes through here so they never overlap.
+    """
+    with _PARSE_LOCK:
+        return ast.parse(source, mode=mode)

@@ -42,7 +42,7 @@ from repro.core.detector import DetectionResult, Detector
 from repro.core.exceptions import InjectionAbort
 from repro.core.masking import make_atomicity_wrapper
 from repro.core.policy import select_methods_to_wrap
-from repro.core.state import capture_frame, graph_diff, graphs_equal
+from repro.core.state import LiveFrame, capture_frame, graph_diff
 from repro.core.runlog import MethodKey
 from repro.core.weaver import Weaver
 
@@ -123,7 +123,8 @@ def _make_graph_checker(spec, records: List[GraphCheck]):
     Woven *between* the atomicity wrapper (inner) and the injection
     wrapper (outer), it captures the receiver's graph on entry and, when
     an exception unwinds through it — i.e. after the atomicity wrapper's
-    rollback ran — captures again and records whether the graphs match.
+    rollback ran — compares that graph with the live receiver and
+    records whether they match.
     It adds no injection points and never swallows the exception.
     """
     original = spec.func
@@ -140,13 +141,11 @@ def _make_graph_checker(spec, records: List[GraphCheck]):
         except InjectionAbort:
             raise
         except BaseException:
-            after = capture_frame([("self", receiver)])
-            if graphs_equal(before, after):
+            difference = graph_diff(before, LiveFrame([("self", receiver)]))
+            if difference is None:
                 records.append(GraphCheck(spec.key, True))
             else:
-                records.append(
-                    GraphCheck(spec.key, False, str(graph_diff(before, after)))
-                )
+                records.append(GraphCheck(spec.key, False, str(difference)))
             raise
 
     check_m._repro_wrapped = original  # type: ignore[attr-defined]

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 from repro.core.exceptions import exception_free, throws
 from repro.core.instrument import resolve_instrumentor_name
 from repro.core.state import get_backend
-from repro.core.virtualsource import register_virtual_source
+from repro.core.virtualsource import parse_source, register_virtual_source
 from repro.experiments.programs import AppProgram
 
 __all__ = [
@@ -207,7 +207,7 @@ def estimate_cost(source: str, config: Mapping[str, Any]) -> int:
     estimates to 1 (``build_subject`` rejects it with a 400 anyway).
     """
     try:
-        tree = ast.parse(source)
+        tree = parse_source(source)
     except SyntaxError:
         return 1
     statements = 0

@@ -63,10 +63,12 @@ def test_detection_captures_only_where_an_exception_can_leave():
     # Only the runs that reach the raising call before their threshold
     # (injection at the last add's entry, and the baseline) capture, and
     # only around that call: the other calls all return before it fires.
+    # The after-state is compared live, so each compare follows exactly
+    # one capture.
     stats = campaign.state_stats
     assert [run.injection_point for run in result.log.runs] == [1, 2, 3, 4, 5]
     assert stats.compares == 2
-    assert stats.captures == 4
+    assert stats.captures == 2
     assert result.telemetry.capture_reruns == 0
 
 
@@ -81,8 +83,10 @@ def test_profile_mismatch_beyond_the_table_captures():
         campaign.end_run(completed=True, escaped=False)
     assert not campaign.capture_missed
     # __init__ is in the one-entry table and skips; the three adds are
-    # not, so each captures before (and the raising one after) the call.
-    assert campaign.state_stats.captures == 4
+    # not, so each captures before the call (and the raising one
+    # compares with the live state after it).
+    assert campaign.state_stats.captures == 3
+    assert campaign.state_stats.compares == 1
 
 
 class Flaky:

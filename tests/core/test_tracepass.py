@@ -287,9 +287,9 @@ def test_composes_with_static_prune():
 
 def test_recorder_fast_path_skips_recaptures():
     # Counter's reachable state is scalar-only, so with the recorder the
-    # enclosing wrapper's verdict needs no recapture: entry coverage +
+    # enclosing wrapper's verdict needs no compare: entry coverage +
     # unchanged sequence proves atomicity.  Without a recorder the same
-    # verdict costs an extra capture + diff.
+    # verdict costs a compare of the entry capture with the live state.
     def body():
         Counter().outer()
 
@@ -329,7 +329,7 @@ def test_recorder_fast_path_skips_recaptures():
     assert any(
         (mark[1] == ATOMIC) for record in marks.values() for mark in record
     )
-    assert fast.stats.captures < slow.stats.captures
+    assert fast.stats.compares < slow.stats.compares
 
 
 def test_sourceless_workload_is_undecidable_with_reason():

@@ -1,10 +1,12 @@
-"""The default Table-1 campaigns' machine-independent counts, pinned.
+"""The Table-1 campaigns' machine-independent counts, pinned.
 
-``benchmarks/baselines/table1_counts.json`` holds, per application, the
-plan size and the state-layer work of a default campaign.  The counts
-depend on the code only, so they are compared exactly: a change that
-cuts captures shows here first, and one that adds captures back (or
-changes a plan) fails until the baseline is regenerated with
+``benchmarks/baselines/table1_counts.json`` holds, per configuration
+and application, the plan size and the state-layer work of a campaign:
+the default one (graph backend, every point executed) and the
+all-passes one (fingerprint backend, static pruning, trace derivation).
+The counts depend on the code only, so they are compared exactly: a
+change that cuts captures shows here first, and one that adds captures
+back (or changes a plan) fails until the baseline is regenerated with
 ``PYTHONPATH=src python tools/table1_counts.py``.
 """
 
@@ -23,10 +25,19 @@ def _load_tool():
     return module
 
 
-def test_table1_counts_match_the_committed_baseline():
+def _check(config):
     tool = _load_tool()
     baseline = json.loads(tool.BASELINE.read_text(encoding="utf-8"))
-    counts = tool.collect()
-    assert sorted(counts) == sorted(baseline)
-    for name, expected in sorted(baseline.items()):
+    assert sorted(baseline) == sorted(tool.CONFIGS)
+    counts = tool.collect(config)
+    assert sorted(counts) == sorted(baseline[config])
+    for name, expected in sorted(baseline[config].items()):
         assert counts[name] == expected, name
+
+
+def test_table1_counts_match_the_committed_baseline():
+    _check("default")
+
+
+def test_all_passes_counts_match_the_committed_baseline():
+    _check("all_passes")
