@@ -262,7 +262,7 @@ class InjectionCampaign:
         """
         with self.suspend():
             roots = self.capture_roots(spec, args, kwargs)
-            if self.backend.compares_live:
+            if not self.backend.lossy_diff:
                 now: Any = LiveFrame(
                     roots,
                     ignore_attrs=self.ignore_attrs,

@@ -96,13 +96,12 @@ class StateBackend:
     #: registry name; also what journals and CLI flags carry.
     name: str = "abstract"
     #: True when :meth:`diff` cannot localize a difference (digest-only).
+    #: A backend without it has graph semantics: its :meth:`diff` also
+    #: takes a :class:`~repro.core.state.LiveFrame` as the second summary,
+    #: comparing with the live state instead of a second capture.
     lossy_diff: bool = False
     #: ``_repro_kind`` tag stamped on atomicity wrappers using this backend.
     wrapper_kind: str = "atomicity"
-    #: True when :meth:`diff` takes a :class:`~repro.core.state.LiveFrame`
-    #: as its second summary, comparing with the live state instead of a
-    #: second capture.
-    compares_live: bool = False
 
     # -- summaries ----------------------------------------------------
 
@@ -206,7 +205,6 @@ class GraphBackend(StateBackend):
     """Full object-graph snapshots compared by rooted isomorphism."""
 
     name = "graph"
-    compares_live = True
 
     def capture(self, value, *, ignore_attrs=None, max_nodes=None, stats=None):
         started = time.perf_counter()
@@ -334,7 +332,6 @@ class UndoLogBackend(StateBackend):
 
     name = "undolog"
     wrapper_kind = "atomicity-undolog"
-    compares_live = True
 
     _graph_delegate = GraphBackend()
 

@@ -49,15 +49,15 @@ from .introspect import (
     KIND_FROZENSET,
     KIND_OBJECT,
     KIND_TUPLE,
+    PLAN_OPAQUE,
+    PLAN_SCALAR,
+    TYPE_PLANS,
     CaptureLimitError,
     default_ignore,
-    is_opaque,
-    is_scalar,
     iter_children,
-    kind_of,
     opaque_token,
     slot_names,
-    type_name,
+    type_plan,
 )
 
 __all__ = [
@@ -234,29 +234,26 @@ def _index_label(index: int) -> bytes:
     return _encode_label(("index", index))
 
 
-_CAT_SCALAR, _CAT_OPAQUE, _CAT_NODE = 0, 1, 2
-
-#: Per-type dispatch memo: ``type -> (category, preencoded header, kind)``.
-#: Scalar-ness, opaqueness, kind, and type name are all functions of the
-#: exact runtime type, so the isinstance chains and string encodings run
-#: once per distinct type instead of once per node.  Bounded because fuzz
-#: runs synthesize classes without limit.
+#: Per-type dispatch memo: ``type -> (category, preencoded header, kind)``,
+#: with *category* a :func:`~repro.core.state.introspect.type_plan`
+#: category.  The plan decides scalar-ness, opaqueness, kind and type
+#: name; this memo adds the encoded header, and holds exactly the types
+#: the plan memoizes, so the isinstance chains and string encodings run
+#: once per distinct type instead of once per node.
 _TYPE_INFO: Dict[type, Tuple[int, bytes, Optional[str]]] = {}
-_TYPE_INFO_MAX = 4096
 
 
 def _type_info(tp: type, sample: Any) -> Tuple[int, bytes, Optional[str]]:
     info = _TYPE_INFO.get(tp)
     if info is None:
-        if is_scalar(sample):
-            info = (_CAT_SCALAR, b"S" + _encode_str(tp.__name__), None)
-        elif is_opaque(sample):
-            info = (_CAT_OPAQUE, b"O" + _encode_str(tp.__name__), None)
+        category, kind, name, _plain = type_plan(sample)
+        if category == PLAN_SCALAR:
+            info = (category, b"S" + _encode_str(name), None)
+        elif category == PLAN_OPAQUE:
+            info = (category, b"O" + _encode_str(name), None)
         else:
-            kind = kind_of(sample)
-            header = b"N" + _encode_str(kind) + _encode_str(type_name(sample))
-            info = (_CAT_NODE, header, kind)
-        if len(_TYPE_INFO) < _TYPE_INFO_MAX:
+            info = (category, b"N" + _encode_str(kind) + _encode_str(name), kind)
+        if tp in TYPE_PLANS:
             _TYPE_INFO[tp] = info
     return info
 
@@ -357,7 +354,7 @@ class _Fingerprinter:
                     feed(encoder(item))
                     continue
                 category, header, kind = _type_info(tp, item)
-                if category == _CAT_SCALAR:  # scalar subclass (enums, ...)
+                if category == PLAN_SCALAR:  # scalar subclass (enums, ...)
                     count += 1
                     feed(header)
                     feed(_encode_scalar_value(item))
@@ -371,7 +368,7 @@ class _Fingerprinter:
                 seen[oid] = len(seen)
                 pin(item)
                 feed(header)
-                if category == _CAT_OPAQUE:
+                if category == PLAN_OPAQUE:
                     feed(_encode_str(opaque_token(item)))
                     continue
                 if barriered is not None:

@@ -41,11 +41,13 @@ from repro.core.state import (
     graph_diff,
     graph_diff_all,
 )
+from repro.core.state.fingerprint import _TYPE_INFO, fingerprint
 from repro.core.state.introspect import (
     KIND_BYTEARRAY,
     KIND_FRAME,
     KIND_OPAQUE,
     KIND_SCALAR,
+    TYPE_PLANS,
     default_ignore,
     is_opaque,
     is_scalar,
@@ -652,6 +654,16 @@ def test_class_overriding_instances_are_planned_per_instance():
         "object",
         "scalar",
     ]
+
+
+def test_fingerprint_classifies_through_the_plan():
+    """The fingerprint's per-type memo holds exactly what the plan
+    memoizes, with the plan's category and kind."""
+    fingerprint([Shifty(False), Plain(), {1: "a"}])
+    assert Shifty not in _TYPE_INFO and Shifty not in TYPE_PLANS
+    for tp in (Plain, dict):
+        category, _header, kind = _TYPE_INFO[tp]
+        assert (category, kind) == TYPE_PLANS[tp][:2]
 
 
 def test_graph_node_keeps_the_dataclass_interface():

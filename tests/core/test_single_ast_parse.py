@@ -14,8 +14,6 @@ modules the test run never imports.
 
 import ast
 import os
-import sys
-import threading
 
 from repro.core.virtualsource import parse_source
 
@@ -76,33 +74,3 @@ def test_helper_is_the_helper_file_and_parses():
     assert isinstance(parse_source("x = 1"), ast.Module)
     assert isinstance(parse_source("x + 1", mode="eval"), ast.Expression)
 
-
-def test_concurrent_parses_all_succeed():
-    """More parsing threads than cores, switching as often as the
-    interpreter allows: every parse must complete and return a tree."""
-    source = "\n".join(
-        f"def f{i}(a):\n    return [a + {i} for _ in range(3)]" for i in range(50)
-    )
-    errors = []
-    parsed = []
-
-    def worker():
-        try:
-            for _ in range(20):
-                parsed.append(parse_source(source))
-        except BaseException as exc:  # the failure under test
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(parsed) == 80
